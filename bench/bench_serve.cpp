@@ -82,7 +82,12 @@ const std::vector<std::string>& hostile_frames() {
 std::string storm_frame(std::size_t client, std::size_t round, bool* hostile) {
   u64 state = kMixSeed ^ (static_cast<u64>(client) << 20) ^ static_cast<u64>(round);
   const u64 pick = splitmix64(&state) % 100;
-  const std::string id = "c" + std::to_string(client) + "-" + std::to_string(round);
+  // Built by appends: GCC 12 reports a false -Wrestrict inside
+  // std::string's operator+ chain here.
+  std::string id = "c";
+  id += std::to_string(client);
+  id += '-';
+  id += std::to_string(round);
   *hostile = false;
   if (pick < 10) {
     return "{\"op\":\"ping\",\"id\":\"" + id + "\"}";

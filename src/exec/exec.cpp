@@ -37,8 +37,8 @@ double retry_backoff_ms(const RetryPolicy& retry, std::size_t index, int attempt
     if (delay >= retry.backoff_cap_ms) break;
   }
   delay = std::clamp(delay, 0.0, retry.backoff_cap_ms);
-  SplitMix64 sm(retry.jitter_seed ^ (0x9e3779b97f4a7c15ULL * (index + 1)) ^
-                static_cast<u64>(attempt));
+  const u64 stream = u64{0x9e3779b97f4a7c15} * (static_cast<u64>(index) + 1);
+  SplitMix64 sm(retry.jitter_seed ^ stream ^ static_cast<u64>(attempt));
   const double jitter = 0.5 + static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
   // The jitter spreads concurrent retries apart; the clamp keeps the promise
   // that no delay ever leaves [base, cap].

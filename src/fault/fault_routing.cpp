@@ -1,76 +1,17 @@
 #include "fault/fault_routing.hpp"
 
 #include <algorithm>
-#include <utility>
+#include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "routing/packet_arena.hpp"
-#include "routing/telemetry_probe.hpp"
+#include "routing/packet_kernel.hpp"
+#include "routing/sharded_sim.hpp"
 #include "util/parallel.hpp"
-#include "util/prng.hpp"
 
 namespace bfly {
 
 namespace {
-
-/// Dense forward-link index without a Butterfly instance (same layout as
-/// routing's link_index()).
-inline u64 dense_link(u64 rows, u64 row, int stage, bool cross) {
-  return (static_cast<u64>(stage) * rows + row) * 2 + (cross ? 1 : 0);
-}
-
-/// The single-packet walk shared by route_packet() and the census.  on_link
-/// is called with the dense index of every traversed link.
-template <typename OnLink>
-RouteResult route_one(int n, u64 rows, const FaultSet& faults, const FaultRoutingOptions& options,
-                      u64 src, u64 dst, OnLink&& on_link) {
-  RouteResult res;
-  if (!faults.node_alive(src, 0) || !faults.node_alive(dst, n)) {
-    res.reason = DropReason::kEndpointDead;
-    return res;
-  }
-  u64 row = src;
-  int stage = 0;
-  for (;;) {
-    if (stage == n) {
-      if (row == dst) {
-        res.delivered = true;
-        return res;
-      }
-      if (res.wraps >= options.wrap_budget) {
-        res.reason = DropReason::kBudgetExhausted;
-        return res;
-      }
-      if (!faults.node_alive(row, 0)) {
-        res.reason = DropReason::kNoAliveLink;
-        return res;
-      }
-      ++res.wraps;
-      stage = 0;
-      continue;
-    }
-    const bool want = ((row ^ dst) >> stage) & 1;
-    bool cross = want;
-    if (!faults.link_alive_index(dense_link(rows, row, stage, want))) {
-      if (!faults.link_alive_index(dense_link(rows, row, stage, !want))) {
-        res.reason = DropReason::kNoAliveLink;
-        return res;
-      }
-      if (res.misroutes >= options.misroute_budget) {
-        res.reason = DropReason::kBudgetExhausted;
-        return res;
-      }
-      ++res.misroutes;
-      cross = !want;
-    }
-    on_link(dense_link(rows, row, stage, cross));
-    ++res.hops;
-    if (cross) row ^= pow2(stage);
-    ++stage;
-  }
-}
 
 void export_tally_metrics(const FaultTally& tally) {
   obs::add(obs::get_counter("fault.delivered"), tally.delivered);
@@ -95,7 +36,7 @@ RouteResult route_packet(int n, const FaultSet& faults, const FaultRoutingOption
   BFLY_REQUIRE(faults.dimension() == n, "fault set dimension mismatch");
   const u64 rows = pow2(n);
   BFLY_REQUIRE(src < rows && dst < rows, "row out of range");
-  return route_one(n, rows, faults, options, src, dst, [&](u64 link) {
+  return detail::route_one(n, rows, faults, options, src, dst, [&](u64 link) {
     if (path_links != nullptr) path_links->push_back(link);
   });
 }
@@ -106,94 +47,13 @@ FaultLoadCensus measure_link_loads_faulty(int n, u64 packets, u64 seed, const Fa
   BFLY_REQUIRE(n >= 1 && n <= 30, "butterfly dimension must be in [1, 30]");
   BFLY_REQUIRE(faults.dimension() == n, "fault set dimension mismatch");
   BFLY_TRACE_SCOPE("fault.measure_link_loads");
-  const u64 rows = pow2(n);
-  const u64 links = static_cast<u64>(n) * rows * 2;
-  if (threads == 0) threads = default_thread_count();
-  obs::Counter* packet_counter = obs::get_counter("fault.census.packets");
-
-  // Identical fixed-chunk seeding to measure_link_loads(): packet streams are
-  // a function of (seed, chunk index) alone, so per-link sums and drop
-  // tallies are bitwise deterministic for any thread count — and, with an
-  // empty FaultSet, identical to the pristine census (every packet takes its
-  // preferred link for exactly n hops).
-  constexpr u64 kChunkPackets = u64{1} << 16;
-  const u64 num_chunks = (packets + kChunkPackets - 1) / kChunkPackets;
-  threads = std::min<std::size_t>(threads, std::max<u64>(num_chunks, 1));
-
-  std::vector<std::vector<u64>> partial(threads, std::vector<u64>(links, 0));
-  std::vector<FaultTally> partial_tally(threads);
-  parallel_for_chunked(
-      0, num_chunks, threads, [&](std::size_t lo, std::size_t hi, std::size_t tid) {
-        BFLY_TRACE_SCOPE("fault.census.worker");
-        std::vector<u64>& loads = partial[tid];
-        FaultTally& tally = partial_tally[tid];
-        u64 routed = 0;
-        for (std::size_t chunk = lo; chunk < hi; ++chunk) {
-          Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (chunk + 1)));
-          const u64 begin = static_cast<u64>(chunk) * kChunkPackets;
-          const u64 end = std::min(packets, begin + kChunkPackets);
-          for (u64 p = begin; p < end; ++p) {
-            const u64 src = rng.below(rows);
-            const u64 dst = rng.below(rows);
-            const RouteResult res = route_one(n, rows, faults, options, src, dst,
-                                              [&](u64 link) { ++loads[link]; });
-            if (res.delivered) {
-              ++tally.delivered;
-            } else {
-              ++tally.dropped[drop_index(res.reason)];
-            }
-            tally.misroutes += static_cast<u64>(res.misroutes);
-            tally.wraps += static_cast<u64>(res.wraps);
-          }
-          routed += end - begin;
-        }
-        obs::add(packet_counter, routed);
-      });
-
+  // The pristine census's body and seeding: with an empty FaultSet every
+  // packet takes its preferred link for exactly n hops, so the embedded
+  // LoadCensus is bitwise identical to measure_link_loads().
   FaultLoadCensus out;
-  out.census.packets = packets;
-  if (keep_link_loads) out.census.link_loads.resize(links, 0);
-  u64 total = 0;
-  {
-    BFLY_TRACE_SCOPE("fault.census.merge");
-    // Same pool-backed per-range reduction as the pristine census: u64
-    // max/total partials combined in range order keep the merged statistics
-    // bitwise deterministic for any pool size.
-    std::vector<u64> range_max(threads, 0);
-    std::vector<u64> range_total(threads, 0);
-    parallel_for_chunked(
-        0, static_cast<std::size_t>(links), threads,
-        [&](std::size_t lo, std::size_t hi, std::size_t tid) {
-          u64 max_load = 0;
-          u64 range_sum = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            u64 load = 0;
-            for (std::size_t t = 0; t < threads; ++t) load += partial[t][i];
-            if (keep_link_loads) out.census.link_loads[i] = load;
-            max_load = std::max(max_load, load);
-            range_sum += load;
-          }
-          range_max[tid] = max_load;
-          range_total[tid] = range_sum;
-        });
-    for (std::size_t t = 0; t < threads; ++t) {
-      out.census.max_link_load = std::max(out.census.max_link_load, range_max[t]);
-      total += range_total[t];
-    }
-    for (const FaultTally& t : partial_tally) {
-      out.tally.delivered += t.delivered;
-      for (std::size_t r = 0; r < kNumDropReasons; ++r) out.tally.dropped[r] += t.dropped[r];
-      out.tally.misroutes += t.misroutes;
-      out.tally.wraps += t.wraps;
-    }
-  }
-  out.census.avg_link_load = static_cast<double>(total) / static_cast<double>(links);
-  out.census.imbalance =
-      out.census.avg_link_load > 0
-          ? static_cast<double>(out.census.max_link_load) / out.census.avg_link_load
-          : 0.0;
-  out.census.avg_distance =
-      packets > 0 ? static_cast<double>(total) / static_cast<double>(packets) : 0.0;
+  out.census = detail::census_link_loads(
+      n, packets, seed, faults, options, threads, keep_link_loads, /*cancel=*/nullptr,
+      {"fault.census.worker", "fault.census.merge", "fault.census.packets"}, &out.tally);
   out.delivered_fraction =
       packets > 0 ? static_cast<double>(out.tally.delivered) / static_cast<double>(packets)
                   : 0.0;
@@ -203,242 +63,6 @@ FaultLoadCensus measure_link_loads_faulty(int n, u64 packets, u64 seed, const Fa
            static_cast<double>(out.census.max_link_load));
   return out;
 }
-
-namespace {
-
-/// The queued-simulator cycle loop, generic over the liveness provider:
-/// `Liveness` is FaultSet (static faults, `live` == nullptr) or
-/// LiveFaultState (a schedule is attached; `live` aliases `faults` so the
-/// loop can advance the overlay at cycle boundaries).  One body, two
-/// instantiations — the liveness reads stay the same one-byte loads either
-/// way, which is what makes the empty-schedule bitwise-identity contract
-/// hold by construction.
-template <typename Liveness>
-FaultSaturationPoint run_saturation_faulty(int n, double offered_load, u64 cycles, u64 seed,
-                                           const Liveness& faults,
-                                           const FaultRoutingOptions& options,
-                                           u64 warmup_cycles, u64 queue_capacity,
-                                           const CancelToken* cancel,
-                                           obs::TimeSeries* timeseries,
-                                           obs::OccupancyFrames* frames,
-                                           obs::FlightRecorder* flight, LiveFaultState* live,
-                                           LinkDeathPolicy death_policy) {
-  BFLY_TRACE_SCOPE("fault.simulate_saturation");
-  const u64 rows = pow2(n);
-
-  obs::Counter* injected_ctr = obs::get_counter("fault.injected");
-  obs::LocalHistogram latency_hist(obs::get_histogram(
-      "fault.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)));
-  obs::LocalHistogram depth_hist(obs::get_histogram(
-      "fault.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24)));
-
-  // Per-link FIFOs in the flat slot arena (budget lanes enabled), same
-  // push_back/pop_front semantics as the seed's per-link deques — the
-  // *_reference oracle asserts bit-identical results.
-  using Packet = PacketArena::Packet;
-  const u64 links = static_cast<u64>(n) * rows * 2;
-  // Per-packet flight tracing rides the arena's optional flight lane, grown
-  // only when a recorder is attached.
-  detail::FlightProbe fprobe(flight);
-  PacketArena arena(links, /*with_budgets=*/true, /*with_flight=*/fprobe.enabled());
-  Xoshiro256 rng(seed);
-  // Same cycle-resolved telemetry hooks (and the same cost contract) as the
-  // pristine engine; see routing/telemetry_probe.hpp.
-  detail::SaturationProbe probe(timeseries, frames, n, rows);
-
-  FaultSaturationPoint out;
-  SaturationPoint& result = out.point;
-  FaultTally& tally = out.tally;
-  result.offered_load = offered_load;
-  u64 measured_injections = 0;
-  u64 in_flight = 0;
-  double total_latency = 0.0;
-
-  const auto count_drop = [&](DropReason reason, bool measured, u64 flight_handle,
-                              u64 cycle) {
-    if (measured) ++tally.dropped[drop_index(reason)];
-    // The telemetry drop channel is cumulative over *all* cycles (the tally
-    // stays post-warmup-only), so warmup drops are visible in the series.
-    probe.on_dropped();
-    fprobe.on_dropped(flight_handle, cycle, static_cast<u64>(drop_index(reason)));
-  };
-
-  // Picks the stage-`stage` output link for a packet at `row` and enqueues it
-  // there, charging a misroute when the packet must deflect.  Returns false
-  // (after counting the drop) when the packet dies here instead.  `entry` is
-  // the flight-trace event for how the packet reached this node (inject,
-  // advance, wrap); a deflection overrides it with kMisroute.
-  const auto enqueue = [&](u64 row, int stage, Packet pkt, bool measured, u64 cycle,
-                           obs::FlightEvent entry) -> bool {
-    const bool want = ((row ^ pkt.dst) >> stage) & 1;
-    bool cross = want;
-    if (!faults.link_alive(row, stage, want)) {
-      if (!faults.link_alive(row, stage, !want)) {
-        count_drop(DropReason::kNoAliveLink, measured, pkt.flight, cycle);
-        return false;
-      }
-      if (pkt.misroutes >= static_cast<u32>(std::max(options.misroute_budget, 0))) {
-        count_drop(DropReason::kBudgetExhausted, measured, pkt.flight, cycle);
-        return false;
-      }
-      ++pkt.misroutes;
-      if (measured) ++tally.misroutes;
-      cross = !want;
-      entry = obs::FlightEvent::kMisroute;
-    }
-    const u64 link = dense_link(rows, row, stage, cross);
-    if (queue_capacity > 0 && arena.size(link) >= queue_capacity) {
-      count_drop(DropReason::kQueueFull, measured, pkt.flight, cycle);
-      return false;
-    }
-    fprobe.on_push(pkt.flight, cycle, link, entry);
-    arena.push(link, pkt);
-    return true;
-  };
-
-  std::vector<std::pair<u64, Packet>> wrapped;  // (row, packet) awaiting re-entry
-  std::vector<u64> newly_dead;  // links killed this cycle (live schedules only)
-  u64 simulated = cycles;
-  for (u64 cycle = 0; cycle < cycles; ++cycle) {
-    if (cycle % kCancelPollCycles == 0 && CancelToken::cancelled(cancel)) {
-      simulated = cycle;
-      break;
-    }
-    const bool measured = cycle >= warmup_cycles;
-    if (live != nullptr) {
-      // Apply this cycle's scheduled fail/repair events (and any spare-chip
-      // failover whose detection latency elapsed) before anything routes,
-      // so an event at cycle c already governs cycle c's hops.
-      live->advance_to(cycle,
-                       death_policy == LinkDeathPolicy::kKillInFlight ? &newly_dead : nullptr);
-      if (death_policy == LinkDeathPolicy::kKillInFlight) {
-        for (const u64 link : newly_dead) {
-          // Drain the dying link's FIFO: those packets are on the wire the
-          // moment it fails.  Under kDeflect they stay queued instead and
-          // the router re-tests liveness at their next hop.
-          while (arena.size(link) > 0) {
-            const Packet dead = arena.pop(link);
-            --in_flight;
-            count_drop(DropReason::kKilledByFault, measured, dead.flight, cycle);
-          }
-        }
-      }
-    }
-    // Forward one packet per link, highest stage first so a packet moves at
-    // most one hop per cycle; wrapped packets re-enter at stage 0 only after
-    // the sweep, for the same reason.
-    wrapped.clear();
-    for (int s = n - 1; s >= 0; --s) {
-      // For a fixed stage the dense link ids are contiguous, so the
-      // occupancy bitmap walks non-empty links in exactly the (row, c)
-      // order of the seed's full scan — and skips the empty ones for free.
-      const u64 stage_base = static_cast<u64>(s) * rows * 2;
-      arena.for_each_occupied(stage_base, stage_base + rows * 2, [&](u64 link) {
-        const u64 row = (link - stage_base) >> 1;
-        const bool cross = (link & 1) != 0;
-        const u64 next_row = cross ? (row ^ pow2(s)) : row;
-        if (s + 1 < n) {
-          // Intermediate hop on an alive wanted link leaves the payload
-          // (dst, injected_at, budgets) unchanged: relink the slot instead of
-          // popping and re-pushing.  Misroutes fall through to the seed's
-          // full enqueue path below.
-          const u64 dst = arena.front_dst(link);
-          const bool want = ((next_row ^ dst) >> (s + 1)) & 1;
-          if (faults.link_alive(next_row, s + 1, want)) {
-            const u64 next_link = dense_link(rows, next_row, s + 1, want);
-            if (queue_capacity > 0 && arena.size(next_link) >= queue_capacity) {
-              const Packet dead = arena.pop(link);
-              count_drop(DropReason::kQueueFull, measured, dead.flight, cycle);
-              --in_flight;
-            } else {
-              fprobe.on_advance(arena, link, cycle, next_link);
-              arena.move_front(link, next_link);
-            }
-            return;
-          }
-        }
-        const Packet pkt = arena.pop(link);
-        if (s + 1 == n) {
-          if (next_row == pkt.dst) {
-            --in_flight;
-            if (measured) {
-              ++result.delivered;
-              ++tally.delivered;
-              const double latency = static_cast<double>(cycle + 1 - pkt.injected_at);
-              total_latency += latency;
-              latency_hist.observe(latency);
-            }
-            probe.on_delivered(cycle, pkt.injected_at);
-            fprobe.on_delivered(pkt.flight, cycle);
-          } else if (pkt.wraps < static_cast<u32>(std::max(options.wrap_budget, 0)) &&
-                     faults.node_alive(next_row, 0)) {
-            Packet w = pkt;
-            ++w.wraps;
-            if (measured) ++tally.wraps;
-            wrapped.emplace_back(next_row, w);
-          } else {
-            --in_flight;
-            count_drop(pkt.wraps < static_cast<u32>(std::max(options.wrap_budget, 0))
-                           ? DropReason::kNoAliveLink
-                           : DropReason::kBudgetExhausted,
-                       measured, pkt.flight, cycle);
-          }
-        } else if (!enqueue(next_row, s + 1, pkt, measured, cycle,
-                            obs::FlightEvent::kAdvance)) {
-          --in_flight;
-        }
-      });
-    }
-    for (const auto& [row, pkt] : wrapped) {
-      if (!enqueue(row, 0, pkt, measured, cycle, obs::FlightEvent::kWrap)) --in_flight;
-    }
-    // Inject.
-    u64 cycle_injections = 0;
-    for (u64 row = 0; row < rows; ++row) {
-      if (rng.uniform() < offered_load) {
-        Packet pkt{rng.below(rows), cycle, 0, 0};
-        // Sample *before* the endpoint check so the packet-id stream matches
-        // the pristine engine's exactly under an empty FaultSet.
-        pkt.flight = fprobe.on_packet(cycle, row, pkt.dst);
-        if (!faults.node_alive(row, 0) || !faults.node_alive(pkt.dst, n)) {
-          count_drop(DropReason::kEndpointDead, measured, pkt.flight, cycle);
-          continue;
-        }
-        if (enqueue(row, 0, pkt, measured, cycle, obs::FlightEvent::kInject)) {
-          ++cycle_injections;
-          if (measured) ++measured_injections;
-        }
-      }
-    }
-    in_flight += cycle_injections;
-    depth_hist.observe(static_cast<double>(in_flight));
-    probe.on_injected(cycle_injections);
-    probe.sample(cycle, arena, in_flight, faults.num_dead_links());
-  }
-  latency_hist.flush();
-  depth_hist.flush();
-
-  result.max_queue = arena.max_size();
-  // Same partial-result convention as simulate_saturation: average over the
-  // cycles actually simulated when the token tripped mid-run.
-  const double measured_cycles =
-      simulated > warmup_cycles ? static_cast<double>(simulated - warmup_cycles) : 0.0;
-  result.throughput =
-      measured_cycles > 0.0
-          ? static_cast<double>(result.delivered) / (measured_cycles * static_cast<double>(rows))
-          : 0.0;
-  result.per_node_injection = result.throughput / static_cast<double>(n + 1);
-  result.avg_latency =
-      result.delivered > 0 ? total_latency / static_cast<double>(result.delivered) : 0.0;
-  result.dropped_queue_full = tally.dropped[drop_index(DropReason::kQueueFull)];
-  obs::add(injected_ctr, measured_injections);
-  export_tally_metrics(tally);
-  obs::set(obs::get_gauge("fault.max_queue"), static_cast<double>(result.max_queue));
-  obs::set(obs::get_gauge("fault.throughput"), result.throughput);
-  return out;
-}
-
-}  // namespace
 
 FaultSaturationPoint simulate_saturation_faulty(int n, double offered_load, u64 cycles,
                                                 u64 seed, const FaultSet& faults,
@@ -452,18 +76,91 @@ FaultSaturationPoint simulate_saturation_faulty(int n, double offered_load, u64 
   BFLY_REQUIRE(n >= 1 && n <= 30, "butterfly dimension must be in [1, 30]");
   BFLY_REQUIRE(offered_load >= 0.0 && offered_load <= 1.0, "offered load is a probability");
   BFLY_REQUIRE(faults.dimension() == n, "fault set dimension mismatch");
-  if (schedule == nullptr) {
-    return run_saturation_faulty(n, offered_load, cycles, seed, faults, options, warmup_cycles,
-                                 queue_capacity, cancel, timeseries, frames, flight,
-                                 /*live=*/nullptr, LinkDeathPolicy::kKillInFlight);
+  if (schedule != nullptr) {
+    BFLY_REQUIRE(schedule->dimension() == n, "fault schedule dimension mismatch");
   }
-  BFLY_REQUIRE(schedule->dimension() == n, "fault schedule dimension mismatch");
-  LiveFaultState live(faults, *schedule);
-  FaultSaturationPoint out = run_saturation_faulty(
-      n, offered_load, cycles, seed, live, options, warmup_cycles, queue_capacity, cancel,
-      timeseries, frames, flight, &live, schedule->link_death_policy());
-  out.live = live.stats();
+  BFLY_TRACE_SCOPE("fault.simulate_saturation");
+  ShardedOptions kernel_options;
+  kernel_options.warmup_cycles = warmup_cycles;
+  kernel_options.queue_capacity = queue_capacity;
+  kernel_options.routing = options;
+  const detail::KernelProbes probes{
+      timeseries, frames, flight,
+      obs::get_histogram("fault.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)),
+      obs::get_histogram("fault.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24))};
+  // The mix cancels in the kernel's shard-0 seeding: the stream is Xoshiro256(seed).
+  const u64 stream_seed = seed ^ detail::kStreamSeedMix;
+  FaultSaturationPoint out;
+  detail::KernelRun run;
+  if (schedule == nullptr) {
+    run = detail::run_packet_kernel<false>(n, offered_load, cycles, stream_seed,
+                                           kernel_options, faults, cancel, probes);
+  } else {
+    LiveFaultState live(faults, *schedule);
+    run = detail::run_packet_kernel<false>(
+        n, offered_load, cycles, stream_seed, kernel_options, live, cancel, probes,
+        schedule->link_death_policy() == LinkDeathPolicy::kKillInFlight);
+    out.live = live.stats();
+  }
+  out.point = run.out.point;
+  out.tally = run.out.tally;
+  obs::add(obs::get_counter("fault.injected"), run.measured_injections);
+  export_tally_metrics(out.tally);
+  obs::set(obs::get_gauge("fault.max_queue"), static_cast<double>(out.point.max_queue));
+  obs::set(obs::get_gauge("fault.throughput"), out.point.throughput);
   return out;
+}
+
+namespace {
+
+/// The sharded entry point's kernel call: the one-shard instantiation (the
+/// serial engines' loop) at shard_count 1, the hand-off one above it.
+template <typename Liveness>
+detail::KernelRun run_sharded(int n, double offered_load, u64 cycles, u64 seed,
+                              const ShardedOptions& options, Liveness& faults,
+                              const CancelToken* cancel) {
+  if (options.shard_count == 1) {
+    return detail::run_packet_kernel<false>(n, offered_load, cycles, seed, options, faults,
+                                            cancel);
+  }
+  return detail::run_packet_kernel<true>(n, offered_load, cycles, seed, options, faults,
+                                         cancel);
+}
+
+}  // namespace
+
+ShardedSaturationPoint simulate_saturation_sharded(int n, double offered_load, u64 cycles,
+                                                   u64 seed, const ShardedOptions& options,
+                                                   const FaultSet* faults,
+                                                   const CancelToken* cancel) {
+  BFLY_REQUIRE(n >= 1 && n <= 30, "butterfly dimension must be in [1, 30]");
+  BFLY_REQUIRE(std::isfinite(offered_load) && offered_load >= 0.0 && offered_load <= 1.0,
+               "offered load is a probability");
+  const u64 rows = pow2(n);
+  ShardedOptions resolved = options;
+  if (resolved.shard_count == 0) resolved.shard_count = std::min<u64>(rows, 8);
+  BFLY_REQUIRE(is_pow2(resolved.shard_count) && resolved.shard_count <= rows,
+               "shard_count must be a power of two, at most 2^n");
+  if (faults != nullptr) {
+    BFLY_REQUIRE(faults->dimension() == n, "fault set dimension mismatch");
+  }
+  BFLY_TRACE_SCOPE("routing.simulate_saturation_sharded");
+  detail::KernelRun run;
+  if (faults != nullptr) {
+    run = run_sharded(n, offered_load, cycles, seed, resolved, *faults, cancel);
+  } else {
+    detail::AllAlive alive;
+    run = run_sharded(n, offered_load, cycles, seed, resolved, alive, cancel);
+    run.out.tally = FaultTally{};  // pristine runs report no fault accounting
+  }
+  // Commutative counter merges only — no gauges, so concurrent sharded
+  // points in one sweep leave the registry deterministic without the
+  // reset-after dance the serial engines need.
+  obs::add(obs::get_counter("sharded.offered"), run.out.offered_total);
+  obs::add(obs::get_counter("sharded.injected"), run.measured_injections);
+  obs::add(obs::get_counter("sharded.delivered"), run.out.point.delivered);
+  obs::add(obs::get_counter("sharded.dropped"), run.out.dropped_total);
+  return run.out;
 }
 
 std::vector<std::uint8_t> reachable_destinations(int n, const FaultSet& faults, u64 src_row) {

@@ -25,7 +25,6 @@
 // both instruments reproduce their pristine counterparts bit for bit.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -34,48 +33,6 @@
 #include "routing/routing.hpp"
 
 namespace bfly {
-
-struct FaultRoutingOptions {
-  /// Total deflections (wrong-link hops) a packet may take over its lifetime.
-  int misroute_budget = 8;
-  /// Extra stage-n -> stage-0 recirculation passes after the first.
-  int wrap_budget = 2;
-};
-
-enum class DropReason : int {
-  kEndpointDead = 0,    ///< source or destination switch is dead
-  kNoAliveLink = 1,     ///< both forward links at the current node are dead
-  kBudgetExhausted = 2, ///< misroute or wrap budget ran out
-  kQueueFull = 3,       ///< bounded-queue simulator: chosen output queue full
-  kKilledByFault = 4,   ///< in-flight packet on a link a live schedule killed
-};
-inline constexpr std::size_t kNumDropReasons = 5;
-
-/// Index of a DropReason in FaultTally::dropped.
-inline constexpr std::size_t drop_index(DropReason r) { return static_cast<std::size_t>(r); }
-
-/// Delivery / drop / deflection accounting shared by census and simulator.
-struct FaultTally {
-  u64 delivered = 0;
-  std::array<u64, kNumDropReasons> dropped{};  ///< indexed by DropReason
-  u64 misroutes = 0;  ///< total deflected hops across all packets
-  u64 wraps = 0;      ///< total recirculation passes across all packets
-
-  u64 total_dropped() const {
-    u64 t = 0;
-    for (const u64 d : dropped) t += d;
-    return t;
-  }
-};
-
-/// Outcome of routing a single packet.
-struct RouteResult {
-  bool delivered = false;
-  DropReason reason = DropReason::kEndpointDead;  ///< valid iff !delivered
-  int hops = 0;       ///< links traversed (wraps are free)
-  int misroutes = 0;
-  int wraps = 0;
-};
 
 /// Routes one packet from (src, stage 0) to (dst, stage n) under the policy
 /// above.  When `path_links` is non-null the dense indices of the traversed

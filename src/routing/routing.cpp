@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "routing/packet_arena.hpp"
-#include "routing/telemetry_probe.hpp"
+#include "routing/packet_kernel.hpp"
 #include "util/parallel.hpp"
 #include "util/prng.hpp"
 
@@ -35,85 +33,11 @@ LoadCensus measure_link_loads(int n, u64 packets, u64 seed, std::size_t threads,
   // dimensions here instead of letting the shifts below overflow silently.
   BFLY_REQUIRE(n >= 1 && n <= 30, "butterfly dimension must be in [1, 30]");
   BFLY_TRACE_SCOPE("routing.measure_link_loads");
-  const Butterfly bf(n);
-  const u64 rows = bf.rows();
-  const u64 links = static_cast<u64>(n) * rows * 2;
-  if (threads == 0) threads = default_thread_count();
-  obs::Counter* packet_counter = obs::get_counter("routing.census.packets");
-
-  // Packets are generated in fixed-size chunks, each with its own generator
-  // seeded by (seed, chunk index); threads claim contiguous chunk ranges.
-  // The per-link load sums are therefore identical no matter how many
-  // threads execute the chunks.
-  constexpr u64 kChunkPackets = u64{1} << 16;
-  const u64 num_chunks = (packets + kChunkPackets - 1) / kChunkPackets;
-  threads = std::min<std::size_t>(threads, std::max<u64>(num_chunks, 1));
-
-  std::vector<std::vector<u64>> partial(threads, std::vector<u64>(links, 0));
-  parallel_for_chunked(
-      0, num_chunks, threads, [&](std::size_t lo, std::size_t hi, std::size_t tid) {
-        BFLY_TRACE_SCOPE("routing.census.worker");
-        std::vector<u64>& loads = partial[tid];
-        u64 routed = 0;
-        for (std::size_t chunk = lo; chunk < hi; ++chunk) {
-          // One poll per chunk (~64K packets): a tripped deadline abandons the
-          // remaining chunks, leaving a partial census the caller discards.
-          if (CancelToken::cancelled(cancel)) break;
-          Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (chunk + 1)));
-          const u64 begin = static_cast<u64>(chunk) * kChunkPackets;
-          const u64 end = std::min(packets, begin + kChunkPackets);
-          for (u64 p = begin; p < end; ++p) {
-            u64 row = rng.below(rows);
-            const u64 dst = rng.below(rows);
-            for (int s = 0; s < n; ++s) {
-              const bool cross = ((row ^ dst) >> s) & 1;
-              ++loads[link_index(bf, row, s, cross)];
-              if (cross) row ^= pow2(s);
-            }
-          }
-          routed += end - begin;
-        }
-        obs::add(packet_counter, routed);
-      },
-      cancel);
-
-  LoadCensus census;
-  census.packets = packets;
-  if (keep_link_loads) census.link_loads.resize(links, 0);
-  u64 total = 0;
-  {
-    BFLY_TRACE_SCOPE("routing.census.merge");
-    // The per-link reduction runs on the pool too; per-range max/total
-    // partials are combined in range order (u64 arithmetic), so the merged
-    // statistics stay bitwise deterministic for any pool size.
-    std::vector<u64> range_max(threads, 0);
-    std::vector<u64> range_total(threads, 0);
-    parallel_for_chunked(
-        0, static_cast<std::size_t>(links), threads,
-        [&](std::size_t lo, std::size_t hi, std::size_t tid) {
-          u64 max_load = 0;
-          u64 range_sum = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            u64 load = 0;
-            for (std::size_t t = 0; t < threads; ++t) load += partial[t][i];
-            if (keep_link_loads) census.link_loads[i] = load;
-            max_load = std::max(max_load, load);
-            range_sum += load;
-          }
-          range_max[tid] = max_load;
-          range_total[tid] = range_sum;
-        });
-    for (std::size_t t = 0; t < threads; ++t) {
-      census.max_link_load = std::max(census.max_link_load, range_max[t]);
-      total += range_total[t];
-    }
-  }
-  census.avg_link_load = static_cast<double>(total) / static_cast<double>(links);
-  census.imbalance = census.avg_link_load > 0
-                         ? static_cast<double>(census.max_link_load) / census.avg_link_load
-                         : 0.0;
-  census.avg_distance =
-      packets > 0 ? static_cast<double>(total) / static_cast<double>(packets) : 0.0;
+  FaultTally tally;
+  const LoadCensus census = detail::census_link_loads(
+      n, packets, seed, detail::AllAlive{}, FaultRoutingOptions{}, threads, keep_link_loads,
+      cancel, {"routing.census.worker", "routing.census.merge", "routing.census.packets"},
+      &tally);
   obs::set(obs::get_gauge("routing.census.max_link_load"),
            static_cast<double>(census.max_link_load));
   obs::set(obs::get_gauge("routing.census.avg_link_load"), census.avg_link_load);
@@ -141,7 +65,7 @@ double average_node_distance(int n, u64 samples, u64 seed, std::size_t threads) 
       0, num_chunks, threads, [&](std::size_t lo, std::size_t hi, std::size_t tid) {
         i64 total = 0;
         for (std::size_t chunk = lo; chunk < hi; ++chunk) {
-          Xoshiro256 rng(seed ^ (0x9e3779b97f4a7c15ULL * (chunk + 1)));
+          Xoshiro256 rng(seed ^ (detail::kStreamSeedMix * (chunk + 1)));
           const u64 begin = static_cast<u64>(chunk) * kChunkSamples;
           const u64 end = std::min(samples, begin + kChunkSamples);
           for (u64 i = begin; i < end; ++i) {
@@ -197,143 +121,20 @@ SaturationPoint simulate_saturation(int n, double offered_load, u64 cycles, u64 
   BFLY_REQUIRE(n >= 1 && n <= 30, "butterfly dimension must be in [1, 30]");
   BFLY_REQUIRE(offered_load >= 0.0 && offered_load <= 1.0, "offered load is a probability");
   BFLY_TRACE_SCOPE("routing.simulate_saturation");
-  const Butterfly bf(n);
-  const u64 rows = bf.rows();
-  const u64 links = static_cast<u64>(n) * rows * 2;
-
-  // Hoisted metric handles: one registry lookup per call.  The simulator is
-  // single-threaded, so per-delivery latency observations go through a
-  // LocalHistogram buffer (plain array increments, merged once at the end)
-  // rather than atomic observes — the per-packet tax must stay invisible
-  // next to the rows * n queue operations each cycle performs.
-  obs::Counter* injected_ctr = obs::get_counter("routing.injected");
-  obs::Counter* delivered_ctr = obs::get_counter("routing.delivered");
-  obs::LocalHistogram latency_hist(obs::get_histogram(
-      "routing.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)));
-  obs::LocalHistogram depth_hist(obs::get_histogram(
-      "routing.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24)));
-
-  // Per-packet flight tracing: the arena grows its flight-handle lane only
-  // when a recorder is attached, so the disabled path is byte-for-byte the
-  // pre-flight arena layout.
-  detail::FlightProbe fprobe(flight);
-  // Per-link FIFOs live in the flat slot arena: same push_back/pop_front
-  // semantics as the seed's per-link deques (the *_reference oracle), zero
-  // per-cycle heap traffic.
-  PacketArena arena(links, /*with_budgets=*/false, /*with_flight=*/fprobe.enabled());
-  Xoshiro256 rng(seed);
-  // Cycle-resolved telemetry: every hook below is a no-op branch when both
-  // sinks are null (the default) and compiles out entirely without BFLY_OBS.
-  detail::SaturationProbe probe(timeseries, frames, n, rows);
-
-  SaturationPoint result;
-  result.offered_load = offered_load;
-  u64 measured_injections = 0;
-  u64 in_flight = 0;
-  double total_latency = 0.0;
-
-  // Returns false when the packet is dropped (bounded-queue mode only).
-  const auto enqueue = [&](u64 row, int stage, u64 dst, u64 injected_at, bool measured,
-                           u64 flight_handle) {
-    const bool cross = ((row ^ dst) >> stage) & 1;
-    const u64 link = (static_cast<u64>(stage) * rows + row) * 2 + (cross ? 1 : 0);
-    if (queue_capacity > 0 && arena.size(link) >= queue_capacity) {
-      if (measured) ++result.dropped_queue_full;
-      probe.on_dropped();
-      fprobe.on_dropped(flight_handle, injected_at, obs::kFlightDropQueueFull);
-      return false;
-    }
-    fprobe.on_push(flight_handle, injected_at, link, obs::FlightEvent::kInject);
-    arena.push(link, {dst, injected_at, 0, 0, flight_handle});
-    return true;
-  };
-
-  u64 simulated = cycles;
-  for (u64 cycle = 0; cycle < cycles; ++cycle) {
-    if (cycle % kCancelPollCycles == 0 && CancelToken::cancelled(cancel)) {
-      simulated = cycle;
-      break;
-    }
-    const bool measured = cycle >= warmup_cycles;
-    // Forward one packet per link, highest stage first so a packet moves at
-    // most one hop per cycle.  For a fixed stage the dense link ids are the
-    // contiguous range [stage * rows * 2, (stage + 1) * rows * 2), so the
-    // occupancy bitmap walks non-empty links in exactly the (row, c) order
-    // of the seed's full scan — and skips the empty ones for free.
-    for (int s = n - 1; s >= 0; --s) {
-      const u64 stage_base = static_cast<u64>(s) * rows * 2;
-      arena.for_each_occupied(stage_base, stage_base + rows * 2, [&](u64 link) {
-        const u64 row = (link - stage_base) >> 1;
-        const bool cross = (link & 1) != 0;
-        const u64 next_row = cross ? (row ^ pow2(s)) : row;
-        if (s + 1 == n) {
-          const PacketArena::Packet pkt = arena.pop(link);
-          --in_flight;
-          if (measured) {
-            ++result.delivered;
-            const double latency = static_cast<double>(cycle + 1 - pkt.injected_at);
-            total_latency += latency;
-            latency_hist.observe(latency);
-          }
-          probe.on_delivered(cycle, pkt.injected_at);
-          fprobe.on_delivered(pkt.flight, cycle);
-          return;
-        }
-        // Intermediate hop: the payload is invariant, so relink the slot onto
-        // the next stage's FIFO instead of popping and re-pushing it.
-        const u64 dst = arena.front_dst(link);
-        const bool next_cross = ((next_row ^ dst) >> (s + 1)) & 1;
-        const u64 next_link =
-            (static_cast<u64>(s + 1) * rows + next_row) * 2 + (next_cross ? 1 : 0);
-        if (queue_capacity > 0 && arena.size(next_link) >= queue_capacity) {
-          const PacketArena::Packet pkt = arena.pop(link);
-          if (measured) ++result.dropped_queue_full;
-          probe.on_dropped();
-          fprobe.on_dropped(pkt.flight, cycle, obs::kFlightDropQueueFull);
-          --in_flight;
-        } else {
-          fprobe.on_advance(arena, link, cycle, next_link);
-          arena.move_front(link, next_link);
-        }
-      });
-    }
-    // Inject.  Packet identity (the flight sampler's key) is the creation
-    // counter inside on_packet — every drawn packet advances it, dropped or
-    // not, keeping the id stream aligned with the faulty engine's.
-    u64 cycle_injections = 0;
-    for (u64 row = 0; row < rows; ++row) {
-      if (rng.uniform() < offered_load) {
-        const u64 dst = rng.below(rows);
-        const u64 flight_handle = fprobe.on_packet(cycle, row, dst);
-        if (enqueue(row, 0, dst, cycle, measured, flight_handle)) {
-          ++cycle_injections;
-          if (measured) ++measured_injections;
-        }
-      }
-    }
-    in_flight += cycle_injections;
-    depth_hist.observe(static_cast<double>(in_flight));
-    probe.on_injected(cycle_injections);
-    probe.sample(cycle, arena, in_flight, /*dead_links=*/0);
-  }
-  latency_hist.flush();
-  depth_hist.flush();
-
-  result.max_queue = arena.max_size();
-  // Average over the cycles actually simulated so a cancelled run still
-  // reports meaningful (if noisier) rates; zero when the token tripped before
-  // the first measured cycle.
-  const double measured_cycles =
-      simulated > warmup_cycles ? static_cast<double>(simulated - warmup_cycles) : 0.0;
-  result.throughput =
-      measured_cycles > 0.0
-          ? static_cast<double>(result.delivered) / (measured_cycles * static_cast<double>(rows))
-          : 0.0;
-  result.per_node_injection = result.throughput / static_cast<double>(n + 1);
-  result.avg_latency =
-      result.delivered > 0 ? total_latency / static_cast<double>(result.delivered) : 0.0;
-  obs::add(injected_ctr, measured_injections);
-  obs::add(delivered_ctr, result.delivered);
+  ShardedOptions options;
+  options.warmup_cycles = warmup_cycles;
+  options.queue_capacity = queue_capacity;
+  const detail::KernelProbes probes{
+      timeseries, frames, flight,
+      obs::get_histogram("routing.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)),
+      obs::get_histogram("routing.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24))};
+  detail::AllAlive alive;
+  // The mix cancels in the kernel's shard-0 seeding: the stream is Xoshiro256(seed).
+  const detail::KernelRun run = detail::run_packet_kernel<false>(
+      n, offered_load, cycles, seed ^ detail::kStreamSeedMix, options, alive, cancel, probes);
+  const SaturationPoint& result = run.out.point;
+  obs::add(obs::get_counter("routing.injected"), run.measured_injections);
+  obs::add(obs::get_counter("routing.delivered"), result.delivered);
   if (queue_capacity > 0) {
     obs::add(obs::get_counter("routing.dropped.queue_full"), result.dropped_queue_full);
   }

@@ -21,34 +21,44 @@
 //
 // Determinism contract.  Injection uses the repo's fixed-chunk seeding
 // pattern: shard k draws from its own Xoshiro256 stream seeded by
-// (seed, shard index) exactly like the census's per-chunk streams, per-shard
-// statistics merge in shard order, and the two intra-cycle phases are
-// fork-join barriers with a fixed drain order — so the result is a pure
-// function of (n, offered_load, cycles, seed, shard_count), bitwise
-// invariant across thread counts (tests/test_sharded_sim.cpp proves
-// threads in {1, 2, 4, hardware} identical; the serial threads=1 run of
-// *this* engine is the reference).  The sharded result is deliberately NOT
-// bitwise equal to the serial engines — the injection RNG decomposes
-// differently — but exact conservation (every offered packet is delivered,
-// dropped, or still in flight at the end) and close statistical agreement
-// are asserted against them.
+// seed ^ 0x9e3779b97f4a7c15 * (k + 1), exactly like the census's per-chunk
+// streams; per-shard statistics merge in shard order, and the two
+// intra-cycle phases are fork-join barriers with a fixed drain order.  The
+// result is therefore a pure function of (n, offered_load, cycles, seed,
+// shard_count), bitwise invariant across thread counts
+// (tests/test_sharded_sim.cpp proves threads in {1, 2, 4, hardware}
+// identical).  At shard_count 1 the engine IS the serial engine: all three
+// run one kernel (routing/packet_kernel.hpp), and
+// simulate_saturation_sharded(n, load, cycles, seed ^ 0x9e3779b97f4a7c15,
+// {shard_count 1}) equals simulate_saturation / simulate_saturation_faulty
+// with `seed`, bit for bit.  At larger shard counts the injection RNG
+// decomposes per row block and the results differ from the serial engines';
+// they agree statistically, and every run conserves packets exactly (every
+// offered packet is delivered, dropped, or still in flight at the end).
+// Making results independent of the shard count (a counter-based injection
+// RNG and a canonical arrival order) is future work.
 //
 // Scope.  Pristine and static-FaultSet runs (budgeted deflection routing
-// with the same policy as fault/fault_routing.hpp).  Telemetry / flight
-// probes and live FaultSchedules are not wired in: sweep points that request
-// them fall back to the serial engines (docs/performance.md, "Sharded
+// with the same policy as fault/fault_routing.hpp).  Probes (telemetry,
+// occupancy frames, flight traces) and live FaultSchedules run at
+// shard_count 1 only, through the serial entry points: sweep points that
+// request them fall back to those (docs/performance.md, "The sharded
 // engine").  The registry sees only commutative counter merges
 // (sharded.offered / injected / delivered / dropped), never gauges, so
 // concurrent sharded points in one sweep stay report-deterministic.
+//
+// simulate_saturation_sharded takes a FaultSet, so bfly_fault defines it
+// (fault/fault_routing.cpp); this header names neither fault library header.
 #pragma once
 
 #include <cstddef>
 
-#include "fault/fault_routing.hpp"
 #include "routing/routing.hpp"
 #include "util/cancel.hpp"
 
 namespace bfly {
+
+class FaultSet;
 
 struct ShardedOptions {
   /// Power-of-two number of row blocks, <= 2^n.  0 picks the fixed default

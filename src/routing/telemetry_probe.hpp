@@ -1,4 +1,4 @@
-// Shared cycle-loop instrumentation for the two saturation engines.
+// Cycle-loop instrumentation for the packet kernel (routing/packet_kernel.hpp).
 //
 // SaturationProbe is the thin adapter between an engine's cycle loop and an
 // obs::TimeSeries / obs::OccupancyFrames pair.  The cost contract it exists
@@ -90,7 +90,7 @@ class SaturationProbe {
   }
 
   /// End-of-cycle sampling hook.  `in_flight` must equal the number of
-  /// packets resident in the arena (both engines maintain exactly that
+  /// packets resident in the arena (the kernel maintains exactly that
   /// invariant at end of cycle).  `dead_links` is the fabric's current dead
   /// link count — constant for static fault sets, time-varying under a live
   /// fault schedule (the sampled series makes the fault epoch visible), and

@@ -18,6 +18,14 @@
 #define BFLY_PREFETCH(addr) ((void)0)
 #endif
 
+/// Forces inlining where the optimizer's heuristics would not: a lambda in a
+/// header template has vague linkage, so "called once" does not apply to it.
+#if defined(__GNUC__) || defined(__clang__)
+#define BFLY_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define BFLY_ALWAYS_INLINE
+#endif
+
 namespace bfly {
 
 using u64 = std::uint64_t;

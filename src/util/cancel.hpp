@@ -40,10 +40,14 @@ class CancelToken {
   void request_cancel() { cancel_requested_.store(true, std::memory_order_relaxed); }
 
   /// Arms (or re-arms) a deadline `budget` from now on the steady clock.
-  /// After the deadline passes, cancelled() and expired() report true.
+  /// After the deadline passes, cancelled() and expired() report true.  A
+  /// floating-point budget is converted to clock ticks before the addition,
+  /// so the stored time point is an exact integer tick count.
   template <class Rep, class Period>
   void set_deadline_after(std::chrono::duration<Rep, Period> budget) {
-    const auto when = std::chrono::steady_clock::now() + budget;
+    const std::chrono::steady_clock::time_point when =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(budget);
     deadline_ns_.store(when.time_since_epoch().count(), std::memory_order_relaxed);
   }
 

@@ -109,7 +109,11 @@ TEST_P(BenesRandomPermutations, RoutesNodeDisjointly) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, BenesRandomPermutations, ::testing::Values(1, 2, 3, 4, 5, 6, 8),
                          [](const ::testing::TestParamInfo<int>& pinfo) {
-                           return "n" + std::to_string(pinfo.param);
+                           // Appends: GCC 12 reports a false -Wrestrict
+                           // inside std::string's operator+.
+                           std::string name = "n";
+                           name += std::to_string(pinfo.param);
+                           return name;
                          });
 
 TEST(Benes, RejectsNonPermutations) {

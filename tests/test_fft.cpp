@@ -66,8 +66,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<int>{2, 2, 2, 2}, std::vector<int>{3, 2, 2, 1},
                       std::vector<int>{6, 6}),
     [](const ::testing::TestParamInfo<std::vector<int>>& pinfo) {
+      // Appends, not "_" + std::to_string(v): GCC 12 reports a false
+      // -Wrestrict inside std::string's operator+.
       std::string name = "k";
-      for (const int v : pinfo.param) name += "_" + std::to_string(v);
+      for (const int v : pinfo.param) {
+        name += '_';
+        name += std::to_string(v);
+      }
       return name;
     });
 

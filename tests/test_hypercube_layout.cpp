@@ -56,8 +56,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, HypercubeLegality,
                                            std::make_tuple(8, 4), std::make_tuple(8, 6),
                                            std::make_tuple(9, 3), std::make_tuple(10, 8)),
                          [](const ::testing::TestParamInfo<std::tuple<int, int>>& pinfo) {
-                           return "n" + std::to_string(std::get<0>(pinfo.param)) + "_L" +
-                                  std::to_string(std::get<1>(pinfo.param));
+                           // Appends: GCC 12 reports a false -Wrestrict
+                           // inside std::string's operator+.
+                           std::string name = "n";
+                           name += std::to_string(std::get<0>(pinfo.param));
+                           name += "_L";
+                           name += std::to_string(std::get<1>(pinfo.param));
+                           return name;
                          });
 
 TEST(HypercubeLayout, MetricsMatchGeometry) {

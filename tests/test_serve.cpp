@@ -548,8 +548,12 @@ TEST(ServeServer, IdenticalConcurrentRequestsCoalesceToOneCompute) {
   // The obs mirror carries the same story.
   const auto snapshot = registry.metrics_snapshot();
   for (const auto& [name, value] : snapshot.counters) {
-    if (name == "serve.cache_misses") EXPECT_EQ(value, 1u);
-    if (name == "serve.accepted") EXPECT_EQ(value, kClients);
+    if (name == "serve.cache_misses") {
+      EXPECT_EQ(value, 1u);
+    }
+    if (name == "serve.accepted") {
+      EXPECT_EQ(value, kClients);
+    }
   }
 }
 

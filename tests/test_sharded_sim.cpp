@@ -19,6 +19,7 @@
 
 #include "exec/checkpoint.hpp"
 #include "exec/exec.hpp"
+#include "fault/fault_routing.hpp"
 #include "fault/fault_set.hpp"
 #include "routing/packet_arena.hpp"
 #include "routing/routing.hpp"
@@ -320,6 +321,81 @@ TEST(ShardedSim, AgreesStatisticallyWithTheSerialEngine) {
   EXPECT_NEAR(sharded.point.throughput / serial.throughput, 1.0, 0.05);
   ASSERT_GT(serial.avg_latency, 0.0);
   EXPECT_NEAR(sharded.point.avg_latency / serial.avg_latency, 1.0, 0.10);
+}
+
+// ---------------------------------------------------------------------------
+// Exact equality with the serial engines at shard_count 1
+
+/// The serial engines draw injections from Xoshiro256(seed); shard k of the
+/// sharded engine draws from Xoshiro256(seed ^ kShardSeedMix * (k + 1)).  At
+/// shard_count 1 the only shard is shard 0, so a sharded run seeded with
+/// seed ^ kShardSeedMix replays the serial run's stream.
+constexpr u64 kShardSeedMix = 0x9e3779b97f4a7c15ULL;
+
+void expect_point_bitwise_eq(const SaturationPoint& a, const SaturationPoint& b) {
+  EXPECT_EQ(a.offered_load, b.offered_load);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.avg_latency, b.avg_latency);
+  EXPECT_EQ(a.per_node_injection, b.per_node_injection);
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.max_queue, b.max_queue);
+  EXPECT_EQ(a.dropped_queue_full, b.dropped_queue_full);
+}
+
+void expect_tally_bitwise_eq(const FaultTally& a, const FaultTally& b) {
+  EXPECT_EQ(a.delivered, b.delivered);
+  for (std::size_t r = 0; r < kNumDropReasons; ++r) {
+    EXPECT_EQ(a.dropped[r], b.dropped[r]) << "drop reason " << r;
+  }
+  EXPECT_EQ(a.misroutes, b.misroutes);
+  EXPECT_EQ(a.wraps, b.wraps);
+}
+
+TEST(ShardedSim, SerialEnginesEqualShardCountOneBitwise) {
+  const u64 cycles = 300;
+  u64 misroutes = 0;
+  u64 wraps = 0;
+  u64 queue_full = 0;
+  for (const int n : {3, 6, 10}) {
+    const FaultSet faults = FaultSet::random_links(n, 0.05, 40 + static_cast<u64>(n));
+    for (const double load : {0.2, 0.7, 1.0}) {
+      for (const u64 capacity : {u64{0}, u64{2}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " load=" << load << " capacity=" << capacity);
+        const u64 seed = 500 + static_cast<u64>(n);
+        ShardedOptions opt;
+        opt.shard_count = 1;
+        opt.threads = 1;
+        opt.warmup_cycles = 40;
+        opt.queue_capacity = capacity;
+        opt.routing.misroute_budget = 2;
+        opt.routing.wrap_budget = 1;
+
+        const SaturationPoint pristine =
+            simulate_saturation(n, load, cycles, seed, opt.warmup_cycles, capacity);
+        const ShardedSaturationPoint sharded_pristine =
+            simulate_saturation_sharded(n, load, cycles, seed ^ kShardSeedMix, opt);
+        expect_point_bitwise_eq(pristine, sharded_pristine.point);
+        expect_tally_bitwise_eq(FaultTally{}, sharded_pristine.tally);
+        EXPECT_TRUE(sharded_pristine.conserved());
+
+        const FaultSaturationPoint faulty = simulate_saturation_faulty(
+            n, load, cycles, seed, faults, opt.routing, opt.warmup_cycles, capacity);
+        const ShardedSaturationPoint sharded_faulty =
+            simulate_saturation_sharded(n, load, cycles, seed ^ kShardSeedMix, opt, &faults);
+        expect_point_bitwise_eq(faulty.point, sharded_faulty.point);
+        expect_tally_bitwise_eq(faulty.tally, sharded_faulty.tally);
+        EXPECT_TRUE(sharded_faulty.conserved());
+        misroutes += faulty.tally.misroutes;
+        wraps += faulty.tally.wraps;
+        queue_full += faulty.point.dropped_queue_full;
+      }
+    }
+  }
+  // The grid must reach the paths it claims to pin.
+  EXPECT_GT(misroutes, 0u);
+  EXPECT_GT(wraps, 0u);
+  EXPECT_GT(queue_full, 0u);
 }
 
 TEST(ShardedSim, CancelStopsAtACycleBoundaryWithAnExactLedger) {

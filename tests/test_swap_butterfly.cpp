@@ -164,8 +164,13 @@ INSTANTIATE_TEST_SUITE_P(
         std::vector<int>{5, 4},           // two-level, larger nucleus
         std::vector<int>{6, 6}),          // n = 12 two-level
     [](const ::testing::TestParamInfo<std::vector<int>>& pinfo) {
+      // Appends, not "_" + std::to_string(v): GCC 12 reports a false
+      // -Wrestrict inside std::string's operator+.
       std::string name = "k";
-      for (const int v : pinfo.param) name += "_" + std::to_string(v);
+      for (const int v : pinfo.param) {
+        name += '_';
+        name += std::to_string(v);
+      }
       return name;
     });
 

@@ -271,6 +271,21 @@ TEST(Cancel, ExtendDeadlineOnlyMovesLater) {
   EXPECT_FALSE(token.cancelled());
 }
 
+TEST(Cancel, FloatingPointBudgetArmsAnExactDeadline) {
+  using clock = std::chrono::steady_clock;
+  CancelToken token;
+  const auto before = clock::now();
+  token.set_deadline_after(std::chrono::duration<double>(3600.5));
+  const auto after = clock::now();
+  ASSERT_TRUE(token.has_deadline());
+  EXPECT_FALSE(token.expired());
+  EXPECT_FALSE(token.cancelled());
+  const auto budget = std::chrono::duration_cast<clock::duration>(
+      std::chrono::duration<double>(3600.5));
+  EXPECT_GE(token.deadline(), before + budget);
+  EXPECT_LE(token.deadline(), after + budget);
+}
+
 TEST(Cancel, ExtendDeadlineArmsUnarmedToken) {
   using clock = std::chrono::steady_clock;
   CancelToken token;

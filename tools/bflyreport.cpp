@@ -260,7 +260,11 @@ int run_trend(std::vector<std::string> args) {
 /// Runs a bench binary with benchmarks filtered out and returns its stdout
 /// (the single-line JSON run report; tables stay on the inherited stderr).
 std::string capture_bench_report(const fs::path& binary) {
-  const std::string command = "'" + binary.string() + "' --benchmark_filter=none";
+  // Built by appends: GCC 12 reports a false -Wrestrict inside
+  // std::string's operator+ chain here.
+  std::string command = "'";
+  command += binary.string();
+  command += "' --benchmark_filter=none";
   if (binary.string().find('\'') != std::string::npos) {
     throw InvalidArgument("bench path must not contain quotes: " + binary.string());
   }
