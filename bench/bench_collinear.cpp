@@ -3,8 +3,6 @@
 //
 // Reproduces: K_9 in 20 tracks; floor(N^2/4) tracks = bisection lower bound
 // for all N; 25% improvement over the Chen-Agrawal layout [6, Theorem 1].
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -58,32 +56,12 @@ void print_track_table() {
               static_cast<long long>(reversed.layout.metrics().max_wire_length));
 }
 
-void BM_CollinearConstruct(benchmark::State& state) {
-  const u64 n = static_cast<u64>(state.range(0));
-  for (auto _ : state) {
-    const CollinearLayout cl = collinear_complete_graph(n);
-    benchmark::DoNotOptimize(cl.layout.wires().data());
-  }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
-}
-BENCHMARK(BM_CollinearConstruct)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Complexity();
-
-void BM_CollinearLegalityCheck(benchmark::State& state) {
-  const u64 n = static_cast<u64>(state.range(0));
-  const CollinearLayout cl = collinear_complete_graph(n);
-  for (auto _ : state) {
-    const LegalityReport r = check_multilayer(cl.layout);
-    benchmark::DoNotOptimize(r.ok);
-  }
-}
-BENCHMARK(BM_CollinearLegalityCheck)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_collinear");
   print_track_table();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

@@ -2,13 +2,12 @@
 //
 // Contract: every bench binary writes exactly one machine-readable JSON run
 // report (schema version 1, see obs/report.hpp) to *stdout* and keeps all
-// human-oriented output — reproduction tables and google-benchmark timing
-// tables — on *stderr*.  `bench_routing ... > run.json` therefore always
-// yields a parseable document, and BENCH_*.json trajectories can be captured
-// by plain shell redirection.
+// human-oriented output — the reproduction tables — on *stderr*.
+// `bench_routing ... > run.json` therefore always yields a parseable
+// document, and BENCH_*.json trajectories can be captured by plain shell
+// redirection.  The benches reproduce the paper's tables and gate their
+// exact counters; they time nothing (perfbench/ is the timer).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <iostream>
@@ -25,43 +24,50 @@
 
 namespace bfly::bench {
 
-/// Resolves the worker-thread override for a bench binary and strips it from
-/// argv before google-benchmark sees the flags it doesn't know.  Accepted
-/// spellings: `--threads N`, `--threads=N`, and the $BFLY_THREADS environment
-/// variable (the flag wins when both are given).  Returns 0 when no override
-/// is present (callers pass that through to SweepRunOptions.threads, which
-/// means "auto").  A malformed value — "4x", "0", "-2", "" — is a usage
-/// error: the bench prints a diagnostic to stderr and exits with status 2,
-/// the same contract bflyreport uses, instead of silently falling back and
-/// reporting timings for a parallelism the user did not ask for.
-inline std::size_t threads_override(int* argc, char** argv) {
-  const auto reject = [](const std::string& source, const char* text) {
-    std::cerr << "error: " << source << " must be an integer in [1, 4096], got '"
-              << (text == nullptr ? "" : text) << "'\n";
-    std::exit(2);
+/// Prints `message` and the bench's usage line to stderr and exits with
+/// status 2, the usage-error contract bflyreport uses.
+[[noreturn]] inline void usage_error(const char* argv0, const char* usage,
+                                     const std::string& message) {
+  std::cerr << "error: " << message << "\nusage: " << argv0 << usage << "\n";
+  std::exit(2);
+}
+
+/// The whole command line of a bench that sweeps: the worker-thread
+/// override, spelled `--threads N`, `--threads=N`, or the $BFLY_THREADS
+/// environment variable (the flag wins when both are given).  Returns 0 when
+/// no override is present (callers pass that through to
+/// SweepRunOptions.threads, which means "auto").  Any other argument, or a
+/// malformed value — "4x", "0", "-2", "" — is a usage error (exit 2), never
+/// silently ignored.
+inline std::size_t threads_override(int argc, char** argv) {
+  constexpr const char* kUsage = " [--threads N]";
+  const auto reject = [argv](const std::string& source, const char* text) {
+    usage_error(argv[0], kUsage, source + " must be an integer in [1, 4096], got '" + text + "'");
   };
   std::size_t threads = 0;
   if (const char* env = std::getenv("BFLY_THREADS")) {
     if (!parse_thread_count(env, &threads)) reject("$BFLY_THREADS", env);
   }
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = nullptr;
     if (arg == "--threads") {
-      if (i + 1 >= *argc) reject("--threads", "");
+      if (i + 1 >= argc) reject("--threads", "");
       value = argv[++i];
     } else if (arg.rfind("--threads=", 0) == 0) {
       value = argv[i] + std::string("--threads=").size();
     } else {
-      argv[out++] = argv[i];
-      continue;
+      usage_error(argv[0], kUsage, "unknown argument '" + arg + "'");
     }
     if (!parse_thread_count(value, &threads)) reject("--threads", value);
   }
-  *argc = out;
-  argv[out] = nullptr;  // benchmark::Initialize expects a null-terminated argv
   return threads;
+}
+
+/// The command line of a bench that takes no arguments: any argument is a
+/// usage error (exit 2).
+inline void no_arguments(int argc, char** argv) {
+  if (argc > 1) usage_error(argv[0], "", std::string("unknown argument '") + argv[1] + "'");
 }
 
 /// Installs a process-wide metrics/trace registry for the duration of main().
@@ -97,7 +103,7 @@ class BenchSession {
   /// Attaches one representative sweep point's cycle-resolved telemetry
   /// (TimeSeries::to_json()) as the report's optional "timeseries" block,
   /// bumping the emitted schema to version 2 (obs/report.hpp).  Skip the
-  /// call — e.g. when the series is empty under BFLY_OBS=OFF — and the
+  /// call — e.g. when a checkpoint replay left the series empty — and the
   /// report stays version 1.
   void timeseries(json::Value block) { options_.timeseries = std::move(block); }
 
@@ -112,13 +118,6 @@ class BenchSession {
   /// numeric leaves.  Call after the workload has populated the histogram;
   /// throws InvalidArgument when no histogram with that name was recorded.
   void artifact_percentiles(const std::string& key, const std::string& histogram) {
-#if !BFLY_OBS_ENABLED
-    // The instrumented hot paths record nothing when obs is compiled out, so
-    // the histogram cannot exist; keep the report valid-but-empty.
-    (void)key;
-    (void)histogram;
-    return;
-#endif
     const obs::MetricsSnapshot snap = registry_.metrics_snapshot();
     for (const obs::MetricsSnapshot::Hist& h : snap.histograms) {
       if (h.name != histogram) continue;
@@ -170,16 +169,6 @@ class BenchSession {
     if (rank(next) > rank(options_.status)) options_.status = next;
   }
 
-  /// google-benchmark with its console output redirected to stderr so the
-  /// stdout JSON report stays clean.
-  void run_benchmarks(int argc, char** argv) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::ConsoleReporter reporter;
-    reporter.SetOutputStream(&std::cerr);
-    reporter.SetErrorStream(&std::cerr);
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-  }
-
   /// The single-line JSON run report on stdout.  Call last.  When the
   /// BFLY_REPORT_FILE environment variable names a path, the same line is
   /// also written there crash-safely (atomic tmp+rename) — shell redirection
@@ -203,9 +192,9 @@ class BenchSession {
 
   /// Worker-thread override applied to every resilient_sweep (0 = auto, i.e.
   /// default_thread_count()).  Set from threads_override() in main() before
-  /// the first sweep.  Per-point outcomes are bitwise independent of this —
-  /// it only changes wall-clock — so benches record it in config as run
-  /// metadata, not as part of the result's identity.
+  /// the first sweep.  Per-point outcomes are bitwise independent of this,
+  /// so benches record it in config as run metadata, not as part of the
+  /// result's identity.
   std::size_t threads = 0;
 
  private:

@@ -1,8 +1,6 @@
 // Experiment E12 (Sec. 2.2 / A.2): FFT executed over the swap-butterfly's
 // physical links equals the DFT for every parameterization -- the functional
-// proof of the transformation -- plus throughput of the network FFT.
-#include <benchmark/benchmark.h>
-
+// proof of the transformation.
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -47,37 +45,12 @@ void print_verification_table() {
   std::fprintf(stderr, "       bypassed network computes the DFT exactly.\n\n");
 }
 
-void BM_FftOnSwapButterfly(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const SwapButterfly sb({k, k, k});
-  const auto x = random_signal(sb.rows(), 1);
-  for (auto _ : state) {
-    const auto out = fft_on_swap_butterfly(sb, x);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) *
-                          static_cast<benchmark::IterationCount>(sb.rows()) * sb.dimension());
-}
-BENCHMARK(BM_FftOnSwapButterfly)->Arg(2)->Arg(4)->Arg(6);
-
-void BM_FftReference(benchmark::State& state) {
-  const u64 n = pow2(static_cast<int>(state.range(0)));
-  const auto x = random_signal(n, 2);
-  for (auto _ : state) {
-    const auto out = fft_reference(x);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) *
-                          static_cast<benchmark::IterationCount>(n));
-}
-BENCHMARK(BM_FftReference)->Arg(6)->Arg(12)->Arg(18);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_fft");
   print_verification_table();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

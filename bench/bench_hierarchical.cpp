@@ -1,8 +1,6 @@
 // Experiments E9 + E10 (Sec. 5): the hierarchical layout of a 9-dimensional
 // butterfly on pin-limited chips, and the diminishing-returns area-vs-L
 // curve.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -84,23 +82,14 @@ void print_pin_budget_sweep() {
   std::fprintf(stderr, "\n");
 }
 
-void BM_PlanHierarchical(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const HierarchicalPlan plan = plan_hierarchical(n, {});
-    benchmark::DoNotOptimize(plan.num_chips);
-  }
-}
-BENCHMARK(BM_PlanHierarchical)->Arg(6)->Arg(9)->Arg(12)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_hierarchical");
   print_section5_example();
   print_area_vs_layers();
   print_pin_budget_sweep();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

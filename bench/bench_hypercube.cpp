@@ -1,17 +1,12 @@
 // Extension experiment (paper conclusion): grid layouts of hypercubes with
 // the same collinear-channel machinery, measured against the Thompson lower
-// bound (N/2)^2, plus Benes permutation-routing throughput (the switch
-// substrate from the introduction).
-#include <benchmark/benchmark.h>
-
+// bound (N/2)^2, plus the size of the Benes permutation network (the switch
+// substrate from the introduction; tests/test_benes.cpp checks its routing).
 #include "bench_common.hpp"
 
-#include <chrono>
 #include <cstdio>
-#include <numeric>
 
 #include "core/bfly.hpp"
-#include "util/prng.hpp"
 
 namespace {
 
@@ -54,61 +49,23 @@ void print_hypercube_layers() {
 
 void print_benes_table() {
   std::fprintf(stderr, "=== extension: Benes permutation routing (looping algorithm) ===\n");
-  std::fprintf(stderr, "%4s %8s %10s %14s\n", "n", "ports", "stages", "perms/sec est");
+  std::fprintf(stderr, "%4s %8s %10s\n", "n", "ports", "stages");
   for (const int n : {4, 6, 8, 10}) {
     const Benes b(n);
-    Xoshiro256 rng(1);
-    std::vector<u64> perm(b.rows());
-    std::iota(perm.begin(), perm.end(), 0);
-    for (u64 i = b.rows() - 1; i > 0; --i) std::swap(perm[i], perm[rng.below(i + 1)]);
-    const auto t0 = std::chrono::steady_clock::now();
-    int reps = 0;
-    while (std::chrono::steady_clock::now() - t0 < std::chrono::milliseconds(50)) {
-      const auto paths = b.route_permutation(perm);
-      benchmark::DoNotOptimize(paths.data());
-      ++reps;
-    }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    std::fprintf(stderr, "%4d %8llu %10d %14.0f\n", n, static_cast<unsigned long long>(b.rows()),
-                b.num_stages(), reps / secs);
+    std::fprintf(stderr, "%4d %8llu %10d\n", n, static_cast<unsigned long long>(b.rows()),
+                 b.num_stages());
   }
   std::fprintf(stderr, "\n");
 }
 
-void BM_HypercubeMetrics(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const HypercubeLayoutPlan plan(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.metrics().area);
-  }
-}
-BENCHMARK(BM_HypercubeMetrics)->Arg(8)->Arg(12)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_BenesRoute(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Benes b(n);
-  Xoshiro256 rng(2);
-  std::vector<u64> perm(b.rows());
-  std::iota(perm.begin(), perm.end(), 0);
-  for (u64 i = b.rows() - 1; i > 0; --i) std::swap(perm[i], perm[rng.below(i + 1)]);
-  for (auto _ : state) {
-    const auto paths = b.route_permutation(perm);
-    benchmark::DoNotOptimize(paths.data());
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) *
-                          static_cast<benchmark::IterationCount>(b.rows()));
-}
-BENCHMARK(BM_BenesRoute)->Arg(6)->Arg(10)->Arg(14);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_hypercube");
   print_hypercube_table();
   print_hypercube_layers();
   print_benes_table();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Experiment E8 (Theorem 4.1): multilayer layouts for L = 2..16 layers.
 // area -> 4 N^2/(L^2 log^2 N) (even) and 4 N^2/((L^2-1) log^2 N) (odd);
 // max wire -> 2N/(L log N); volume -> 4 N^2/(L log^2 N).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -75,39 +73,16 @@ void print_channel_scaling(int n) {
   std::fprintf(stderr, "\n");
 }
 
-void BM_MultilayerMetrics(benchmark::State& state) {
-  const int L = static_cast<int>(state.range(0));
-  ButterflyLayoutOptions opt;
-  opt.layers = L;
-  const ButterflyLayoutPlan plan({4, 4, 4}, opt);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.metrics().area);
-  }
-}
-BENCHMARK(BM_MultilayerMetrics)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_MultilayerLegality(benchmark::State& state) {
-  const int L = static_cast<int>(state.range(0));
-  ButterflyLayoutOptions opt;
-  opt.layers = L;
-  const ButterflyLayoutPlan plan({3, 3, 3}, opt);
-  const Layout layout = plan.materialize();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(check_multilayer(layout).ok);
-  }
-}
-BENCHMARK(BM_MultilayerLegality)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_multilayer");
   print_theorem41_table(12);
   print_theorem41_table(15);
   print_channel_scaling(12);
   print_fold_ablation(12);
   print_fold_ablation(15);
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

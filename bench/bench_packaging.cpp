@@ -1,8 +1,6 @@
 // Experiments E5 + E6 (Sec. 2.3, Theorem 2.1): off-module links of the
 // row-block and nucleus partitions vs the closed forms, the naive baseline,
 // and Theorem 2.1's bounds.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -106,39 +104,15 @@ void print_multilevel_table() {
   std::fprintf(stderr, "       so per-node off-module links shrink further up the hierarchy.\n\n");
 }
 
-void BM_EvaluatePartition(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const SwapButterfly sb({k, k, k});
-  const Graph g = sb.graph();
-  const Partition p = row_block_partition(sb, k);
-  for (auto _ : state) {
-    const PartitionStats s = evaluate_partition(g, p);
-    benchmark::DoNotOptimize(s.total_offmodule_links);
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) *
-                          static_cast<benchmark::IterationCount>(g.num_edges()));
-}
-BENCHMARK(BM_EvaluatePartition)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-
-void BM_NucleusPartition(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const SwapButterfly sb({k, k, k});
-  for (auto _ : state) {
-    const Partition p = nucleus_partition(sb);
-    benchmark::DoNotOptimize(p.module_of.data());
-  }
-}
-BENCHMARK(BM_NucleusPartition)->Arg(3)->Arg(4)->Arg(5);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_packaging");
   print_rowblock_table();
   print_multilevel_table();
   print_theorem21_table();
   print_lower_bound_table();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

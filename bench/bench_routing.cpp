@@ -1,17 +1,13 @@
 // Experiment E13 (+ E6 lower bound): random routing on butterflies.
 // Saturation throughput per network node is Theta(1/log R), which is the
 // quantity behind Theorem 2.1's Omega(M/log R) pin bound.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/bfly.hpp"
 #include "obs/timeseries.hpp"
-#include "routing/reference_sim.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,7 +17,7 @@ using namespace bfly;
 
 constexpr double kCurveLoads[] = {0.1, 0.3, 0.5, 0.7, 0.9, 1.0};
 
-std::vector<SweepPoint> curve_points(int n, u64 telemetry_budget = 0, u64 flight_budget = 0) {
+std::vector<SweepPoint> curve_points(int n, u64 telemetry_budget, u64 flight_budget) {
   std::vector<SweepPoint> pts;
   for (const double load : kCurveLoads) {
     SweepPoint p;
@@ -72,7 +68,7 @@ void check_littles_law(const std::vector<SweepOutcome>& curve,
   for (const SweepOutcome& o : curve) {
     if (o.point.offered_load == 0.5 && !o.timeseries.empty()) chosen = &o;
   }
-  if (chosen == nullptr) return;  // BFLY_OBS=OFF or full replay: nothing measured
+  if (chosen == nullptr) return;  // full replay: nothing measured
   const obs::LittlesLawCheck check = obs::littles_law_check(chosen->timeseries);
   std::fprintf(stderr, "--- Little's law self-check (B_8, load 0.5, steady-state window) ---\n");
   std::fprintf(stderr, "%12s %12s %12s %12s %8s\n", "L", "lambda", "W", "rel error", "pass");
@@ -97,7 +93,7 @@ void check_flight_decomposition(const std::vector<SweepOutcome>& curve,
   for (const SweepOutcome& o : curve) {
     if (o.point.offered_load == 0.5 && !o.flight.empty()) chosen = &o;
   }
-  if (chosen == nullptr) return;  // BFLY_OBS=OFF or full replay: nothing recorded
+  if (chosen == nullptr) return;  // full replay: nothing recorded
   const obs::FlightRecorder& rec = chosen->flight;
   u64 delivered = 0;
   u64 total_wait = 0;
@@ -132,102 +128,6 @@ void check_flight_decomposition(const std::vector<SweepOutcome>& curve,
   }
 }
 
-/// Flight-recorder tax on the serial single-core B_8 curve, same interleaved
-/// best-of protocol as print_timeseries_overhead.  The disabled bar is the
-/// acceptance criterion (< 1%): a null recorder costs one predictable branch
-/// per packet event, so two interleaved A/A runs of the disabled config
-/// bound the noise floor it hides under.  The enabled bar (64-trace budget)
-/// is the real collection cost.  Both machine-dependent and gate-ignored.
-std::pair<double, double> print_flight_overhead() {
-  std::fprintf(stderr,
-               "--- flight overhead: serial B_8 curve, recorder disabled / enabled ---\n");
-  using Clock = std::chrono::steady_clock;
-  const obs::ScopedRegistry scoped(nullptr);
-  const auto run_curve = [](bool flight) {
-    const auto t0 = Clock::now();
-    for (SweepPoint p : curve_points(8)) {
-      p.flight_budget = flight ? 64 : 0;
-      obs::FlightRecorder rec = make_flight_recorder(p);
-      const SaturationPoint r =
-          simulate_saturation(p.n, p.offered_load, p.cycles, p.seed, p.warmup_cycles,
-                              p.queue_capacity, nullptr, nullptr, nullptr,
-                              rec.enabled() ? &rec : nullptr);
-      benchmark::DoNotOptimize(r.delivered);
-      benchmark::DoNotOptimize(rec.packets_seen());
-    }
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  run_curve(false);  // warm caches before timing
-  double disabled_a = 1e300;
-  double disabled_b = 1e300;
-  double enabled = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    disabled_a = std::min(disabled_a, run_curve(false));
-    enabled = std::min(enabled, run_curve(true));
-    disabled_b = std::min(disabled_b, run_curve(false));
-  }
-  const double disabled = std::min(disabled_a, disabled_b);
-  const double disabled_pct = std::abs(disabled_a - disabled_b) / disabled * 100.0;
-  const double enabled_pct = (enabled - disabled) / disabled * 100.0;
-  std::fprintf(stderr, "%14s %14s %14s %14s\n", "disabled (s)", "enabled (s)",
-               "disabled tax", "enabled tax");
-  std::fprintf(stderr, "%14.4f %14.4f %13.2f%% %+13.2f%%\n\n", disabled, enabled, disabled_pct,
-               enabled_pct);
-  return {disabled_pct, enabled_pct};
-}
-
-/// Telemetry tax on the serial single-core B_8 curve, interleaved best-of
-/// timing like print_obs_overhead, with the registry detached throughout so
-/// only the probe is measured.  Two bars:
-///
-///   * disabled (< 1%): the runtime-off default (null series) differs from a
-///     probe-free build only by per-event branches on a bool that is never
-///     true, so no within-binary A/B can see it directly; two interleaved
-///     A/A runs of the disabled config bound it empirically — the reported
-///     |delta| is the measurement noise floor the branch cost hides under.
-///   * enabled (< 3%): disabled vs a 128-sample-budget run, the real cost of
-///     collecting telemetry.
-///
-/// Both are machine-dependent (gate-ignored) and tracked by the trajectory
-/// log; the cross-commit arena timings there are the end-to-end check that
-/// the instrumented engine did not regress.
-std::pair<double, double> print_timeseries_overhead() {
-  std::fprintf(stderr,
-               "--- telemetry overhead: serial B_8 curve, probe disabled / enabled ---\n");
-  using Clock = std::chrono::steady_clock;
-  const std::vector<SweepPoint> pts = curve_points(8);
-  const obs::ScopedRegistry scoped(nullptr);
-  const auto run_curve = [&pts](bool telemetry) {
-    const auto t0 = Clock::now();
-    for (const SweepPoint& p : pts) {
-      obs::TimeSeries series(128);
-      const SaturationPoint r =
-          simulate_saturation(p.n, p.offered_load, p.cycles, p.seed, p.warmup_cycles,
-                              p.queue_capacity, nullptr, telemetry ? &series : nullptr);
-      benchmark::DoNotOptimize(r.delivered);
-      benchmark::DoNotOptimize(series.num_samples());
-    }
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  run_curve(false);  // warm caches before timing
-  double disabled_a = 1e300;
-  double disabled_b = 1e300;
-  double enabled = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    disabled_a = std::min(disabled_a, run_curve(false));
-    enabled = std::min(enabled, run_curve(true));
-    disabled_b = std::min(disabled_b, run_curve(false));
-  }
-  const double disabled = std::min(disabled_a, disabled_b);
-  const double disabled_pct = std::abs(disabled_a - disabled_b) / disabled * 100.0;
-  const double enabled_pct = (enabled - disabled) / disabled * 100.0;
-  std::fprintf(stderr, "%14s %14s %14s %14s\n", "disabled (s)", "enabled (s)",
-               "disabled tax", "enabled tax");
-  std::fprintf(stderr, "%14.4f %14.4f %13.2f%% %+13.2f%%\n\n", disabled, enabled, disabled_pct,
-               enabled_pct);
-  return {disabled_pct, enabled_pct};
-}
-
 void print_injection_scaling(bfly::bench::BenchSession* session) {
   std::fprintf(stderr, "--- per-node injection at saturation vs 1/(n+1) = Theta(1/log R) ---\n");
   std::fprintf(stderr, "%4s %14s %12s %10s\n", "n", "inj/node", "1/(n+1)", "ratio");
@@ -250,40 +150,6 @@ void print_injection_scaling(bfly::bench::BenchSession* session) {
   }
   std::fprintf(stderr, "paper: the maximum per-node injection rate is Theta(1/log R); the ratio\n");
   std::fprintf(stderr, "       to 1/(n+1) stays within a constant across n.\n\n");
-}
-
-/// Engine speedup: the seed deque simulator run serially over the B_8 curve
-/// vs the arena engine driven by saturation_sweep, both with the registry
-/// detached so only the engines are timed.  Machine-dependent (the baseline
-/// gate ignores it); the trajectory log tracks it across commits.
-double print_arena_speedup() {
-  std::fprintf(stderr, "--- arena sweep vs seed deque simulator (B_8 saturation curve) ---\n");
-  using Clock = std::chrono::steady_clock;
-  const std::vector<SweepPoint> pts = curve_points(8);
-  const obs::ScopedRegistry scoped(nullptr);
-  // Warm both engines (allocator + pool spin-up) before timing.
-  simulate_saturation_reference(8, 0.5, 200, 1, 50);
-  saturation_sweep(std::vector<SweepPoint>{pts[0]});
-  double reference_s = 1e300;
-  double arena_s = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t0 = Clock::now();
-    for (const SweepPoint& p : pts) {
-      const SaturationPoint r = simulate_saturation_reference(
-          p.n, p.offered_load, p.cycles, p.seed, p.warmup_cycles, p.queue_capacity);
-      benchmark::DoNotOptimize(r.delivered);
-    }
-    const auto t1 = Clock::now();
-    const std::vector<SweepOutcome> out = saturation_sweep(pts);
-    benchmark::DoNotOptimize(out.back().point.delivered);
-    const auto t2 = Clock::now();
-    reference_s = std::min(reference_s, std::chrono::duration<double>(t1 - t0).count());
-    arena_s = std::min(arena_s, std::chrono::duration<double>(t2 - t1).count());
-  }
-  const double speedup = reference_s / arena_s;
-  std::fprintf(stderr, "%14s %14s %10s\n", "deque (s)", "arena (s)", "speedup");
-  std::fprintf(stderr, "%14.4f %14.4f %9.2fx\n\n", reference_s, arena_s, speedup);
-  return speedup;
 }
 
 void print_load_balance() {
@@ -314,57 +180,10 @@ void print_congestion_table() {
   std::fprintf(stderr, "a Benes fabric (looping algorithm) routes ANY permutation at congestion 1.\n\n");
 }
 
-/// Observability tax: simulate_saturation at n=14 with the registry detached
-/// (the default-off fast path every library user gets) vs attached.  Best-of
-/// timing, interleaved to cancel thermal drift.  The acceptance bar is < 2%.
-double print_obs_overhead() {
-  std::fprintf(stderr,
-               "--- obs overhead: simulate_saturation(n=14), registry off vs on ---\n");
-  using Clock = std::chrono::steady_clock;
-  obs::Registry local;
-  const auto run_once = [](obs::Registry* reg) {
-    const obs::ScopedRegistry scoped(reg);
-    const auto t0 = Clock::now();
-    const SaturationPoint p = simulate_saturation(14, 0.5, 150, 11, 20);
-    benchmark::DoNotOptimize(p.delivered);
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
-  run_once(nullptr);  // warm caches before timing
-  double off = 1e300;
-  double on = 1e300;
-  for (int rep = 0; rep < 3; ++rep) {
-    off = std::min(off, run_once(nullptr));
-    on = std::min(on, run_once(&local));
-  }
-  const double overhead_pct = (on - off) / off * 100.0;
-  std::fprintf(stderr, "%12s %12s %12s\n", "off (s)", "on (s)", "overhead");
-  std::fprintf(stderr, "%12.4f %12.4f %+11.2f%%\n\n", off, on, overhead_pct);
-  return overhead_pct;
-}
-
-void BM_LinkLoadCensus(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const LoadCensus c = measure_link_loads(n, 500'000, 1);
-    benchmark::DoNotOptimize(c.max_link_load);
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) * 500'000);
-}
-BENCHMARK(BM_LinkLoadCensus)->Arg(8)->Arg(12)->Arg(16)->Unit(benchmark::kMillisecond);
-
-void BM_SaturationSim(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const SaturationPoint p = simulate_saturation(n, 0.8, 500, 5, 50);
-    benchmark::DoNotOptimize(p.delivered);
-  }
-}
-BENCHMARK(BM_SaturationSim)->Arg(6)->Arg(8)->Arg(10)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = bfly::bench::threads_override(&argc, argv);
+  const std::size_t threads = bfly::bench::threads_override(argc, argv);
   bfly::bench::BenchSession session("bench_routing");
   session.threads = threads;
   session.config("threads", static_cast<double>(threads));
@@ -379,16 +198,7 @@ int main(int argc, char** argv) {
   print_injection_scaling(&session);
   print_load_balance();
   print_congestion_table();
-  session.artifact("obs_overhead_percent", print_obs_overhead());
-  session.artifact("arena_sweep_speedup_b8", print_arena_speedup());
-  const auto [ts_disabled_pct, ts_enabled_pct] = print_timeseries_overhead();
-  session.artifact("timeseries_overhead_disabled_percent", ts_disabled_pct);
-  session.artifact("timeseries_overhead_enabled_percent", ts_enabled_pct);
-  const auto [fl_disabled_pct, fl_enabled_pct] = print_flight_overhead();
-  session.artifact("flight_overhead_disabled_percent", fl_disabled_pct);
-  session.artifact("flight_overhead_enabled_percent", fl_enabled_pct);
   session.artifact_percentiles("routing.latency_cycles", "routing.latency_cycles");
-  session.run_benchmarks(argc, argv);
   // Pool utilization gauges: idempotent last-write-wins snapshots of the
   // shared pool's counters, taken after all parallel work has finished.
   const ThreadPool::Stats pool = ThreadPool::shared().stats();

@@ -4,18 +4,12 @@
 //
 // Plus the packet-engine scalability study: one large B_12 saturation curve
 // on the cycle-parallel sharded engine (routing/sharded_sim.hpp).  The curve
-// itself is a pure function of (n, load, cycles, seed, shard_count) — bitwise
-// machine-independent, so it is exported as an exact-gated artifact together
-// with its conservation ledger — while the serial-vs-sharded wall-clock
-// comparison is timing and therefore gate-ignored (thresholds.json), recorded
-// for the trajectory plots.
-#include <benchmark/benchmark.h>
-
+// is a pure function of (n, load, cycles, seed, shard_count) — bitwise
+// machine-independent — so it is exported as an exact-gated artifact together
+// with its conservation ledger.
 #include "bench_common.hpp"
 
-#include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "core/bfly.hpp"
 
@@ -30,7 +24,6 @@ constexpr u64 kShardCount = 8;
 constexpr u64 kShardCycles = 1200;
 constexpr u64 kShardWarmup = 200;
 constexpr u64 kShardSeed = 2026;
-constexpr double kSpeedupLoad = 0.7;
 
 void print_node_size_sweep(int n, int L) {
   std::fprintf(stderr, "=== E11: node-size scalability of B_%d at L=%d ===\n", n, L);
@@ -100,81 +93,10 @@ void print_sharded_curve(std::size_t threads, bfly::bench::BenchSession* session
   session->artifact("sharded_conservation_pass", all_conserved ? 1.0 : 0.0);
 }
 
-/// Serial arena engine vs sharded engine on the same B_12 point, interleaved
-/// best-of-2.  Timing, so gate-ignored; the >= 2.5x bar applies on >= 8
-/// cores (CI runners), which the table states explicitly so a laptop reading
-/// ~1x is not mistaken for a regression.
-std::pair<double, double> print_sharded_speedup(std::size_t threads) {
-  using Clock = std::chrono::steady_clock;
-  std::fprintf(stderr, "--- serial arena engine vs sharded engine (B_%d, load %.1f) ---\n",
-               kShardN, kSpeedupLoad);
-  const obs::ScopedRegistry scoped(nullptr);
-  ShardedOptions opt;
-  opt.shard_count = kShardCount;
-  opt.threads = threads;
-  opt.warmup_cycles = kShardWarmup;
-  // Warm both engines (allocator + pool spin-up) before timing.
-  simulate_saturation(kShardN, kSpeedupLoad, 100, kShardSeed, 0);
-  simulate_saturation_sharded(kShardN, kSpeedupLoad, 100, kShardSeed, opt);
-  double serial_s = 1e300;
-  double sharded_s = 1e300;
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t0 = Clock::now();
-    const SaturationPoint s = simulate_saturation(kShardN, kSpeedupLoad, kShardCycles,
-                                                  kShardSeed, kShardWarmup);
-    benchmark::DoNotOptimize(s.delivered);
-    const auto t1 = Clock::now();
-    const ShardedSaturationPoint p =
-        simulate_saturation_sharded(kShardN, kSpeedupLoad, kShardCycles, kShardSeed, opt);
-    benchmark::DoNotOptimize(p.point.delivered);
-    const auto t2 = Clock::now();
-    serial_s = std::min(serial_s, std::chrono::duration<double>(t1 - t0).count());
-    sharded_s = std::min(sharded_s, std::chrono::duration<double>(t2 - t1).count());
-  }
-  const double speedup = serial_s / sharded_s;
-  // Node-visits per second through the sharded engine: rows * (n+1) node
-  // slots advanced per cycle.
-  const double nodes_per_sec = static_cast<double>(pow2(kShardN)) *
-                               static_cast<double>(kShardN + 1) *
-                               static_cast<double>(kShardCycles) / sharded_s;
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::fprintf(stderr, "%14s %14s %10s %16s\n", "serial (s)", "sharded (s)", "speedup",
-               "nodes/sec");
-  std::fprintf(stderr, "%14.4f %14.4f %9.2fx %16.3e\n", serial_s, sharded_s, speedup,
-               nodes_per_sec);
-  if (cores >= 8) {
-    std::fprintf(stderr, "bar: >= 2.5x expected on this %u-core machine.\n\n", cores);
-  } else {
-    std::fprintf(stderr, "bar: >= 2.5x applies on >= 8 cores; this machine has %u —\n", cores);
-    std::fprintf(stderr, "     the ratio above measures sharding overhead, not the win.\n\n");
-  }
-  return {speedup, nodes_per_sec};
-}
-
-void BM_MetricsVsNodeSide(benchmark::State& state) {
-  ButterflyLayoutOptions opt;
-  opt.node_side = state.range(0);
-  const ButterflyLayoutPlan plan({3, 3, 3}, opt);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.metrics().area);
-  }
-}
-BENCHMARK(BM_MetricsVsNodeSide)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedSaturationB10(benchmark::State& state) {
-  ShardedOptions opt;
-  opt.shard_count = static_cast<u64>(state.range(0));
-  for (auto _ : state) {
-    const ShardedSaturationPoint r = simulate_saturation_sharded(10, 0.7, 200, 1, opt);
-    benchmark::DoNotOptimize(r.point.delivered);
-  }
-}
-BENCHMARK(BM_ShardedSaturationB10)->Arg(1)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = bfly::bench::threads_override(&argc, argv);
+  const std::size_t threads = bfly::bench::threads_override(argc, argv);
   bfly::bench::BenchSession session("bench_scalability");
   session.threads = threads;
   session.config("threads", static_cast<double>(threads));
@@ -185,10 +107,6 @@ int main(int argc, char** argv) {
   print_node_size_sweep(12, 2);
   print_node_size_sweep(12, 4);
   print_sharded_curve(threads, &session);
-  const auto [speedup, nodes_per_sec] = print_sharded_speedup(threads);
-  session.artifact("sharded_speedup_b12", speedup);
-  session.artifact("sharded_nodes_per_sec", nodes_per_sec);
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

@@ -7,8 +7,8 @@
 // generous — against a deliberately undersized admission queue, so every
 // robustness path fires: completion, deadline expiry, deterministic load
 // shedding, and structured rejection.  The reproduction tables show the
-// final ledger and the latency percentiles; the gated artifacts are the
-// invariants that must hold on every machine at any speed:
+// final ledger; the gated artifacts are the invariants that must hold on
+// every machine at any speed:
 //
 //   * exact ledger conservation: accepted == completed + cancelled + shed
 //     + failed, with accepted == every frame submitted;
@@ -18,18 +18,15 @@
 //   * crash-recovery bit-identity: responses served from a journal-restored
 //     cache are byte-for-byte the responses the first process produced.
 //
-// Raw counts of the racy buckets (how many shed vs completed) and the
-// latency percentiles are machine-dependent, so they are reported under
-// ignore-ruled keys; only the invariants gate.
+// Raw counts of the racy buckets (how many shed vs completed) are
+// machine-dependent, so they are reported under an ignore-ruled key; only the
+// invariants gate.  perfbench's serve workload times the daemon.
 //
 // All workloads run against local metrics registries so the session report's
-// metric surface stays empty and deterministic; google-benchmark timings
-// (stderr only) cover the per-frame round-trip costs.
-#include <benchmark/benchmark.h>
+// metric surface stays empty and deterministic.
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -141,8 +138,6 @@ struct StormResult {
   std::size_t responses = 0;
   std::size_t ok = 0, deadline = 0, overloaded = 0, invalid = 0, shutdown = 0, other = 0;
   LedgerSnapshot ledger;
-  double wall_ms = 0.0;
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0, p999 = 0.0;
 };
 
 StormResult run_storm() {
@@ -162,7 +157,6 @@ StormResult run_storm() {
   std::atomic<std::size_t> ok{0}, deadline{0}, overloaded{0}, invalid{0}, shutdown{0}, other{0};
   const std::size_t total = kClients * kFramesPerClient;
 
-  const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> submitters;
   std::atomic<std::size_t> hostile_count{0};
   for (std::size_t s = 0; s < kSubmitters; ++s) {
@@ -200,9 +194,6 @@ StormResult run_storm() {
     cv.wait(lock, [&] { return responded.load(std::memory_order_acquire) == total; });
   }
   result.ledger = server.drain(60'000);
-  result.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                            start)
-                       .count();
 
   result.frames = total;
   result.hostile = hostile_count.load();
@@ -213,14 +204,6 @@ StormResult run_storm() {
   result.invalid = invalid.load();
   result.shutdown = shutdown.load();
   result.other = other.load();
-
-  for (const obs::MetricsSnapshot::Hist& h : local.metrics_snapshot().histograms) {
-    if (h.name != "serve.latency_us") continue;
-    result.p50 = h.percentile(0.50);
-    result.p95 = h.percentile(0.95);
-    result.p99 = h.percentile(0.99);
-    result.p999 = h.percentile(0.999);
-  }
   return result;
 }
 
@@ -235,10 +218,7 @@ void print_storm_table(const StormResult& r) {
                static_cast<unsigned long long>(r.ledger.failed),
                static_cast<unsigned long long>(r.ledger.cache_hits),
                static_cast<unsigned long long>(r.ledger.coalesced));
-  std::fprintf(stderr,
-               "latency_us p50=%.0f p95=%.0f p99=%.0f p999=%.0f   wall=%.0f ms   "
-               "conserved=%s\n",
-               r.p50, r.p95, r.p99, r.p999, r.wall_ms, r.ledger.conserved() ? "yes" : "NO");
+  std::fprintf(stderr, "conserved=%s\n", r.ledger.conserved() ? "yes" : "NO");
 }
 
 /// One synchronous request against an in-process server.
@@ -325,52 +305,10 @@ void print_replay_table(const ReplayResult& r) {
                static_cast<unsigned long long>(r.restart_misses));
 }
 
-// --- google-benchmark timings (stderr only, not gated) -----------------------
-
-void BM_PingRoundTrip(benchmark::State& state) {
-  const obs::ScopedRegistry scoped(nullptr);
-  Server server(ServerOptions{});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::string response =
-        call(&server, "{\"op\":\"ping\",\"id\":\"p" + std::to_string(i++) + "\"}");
-    benchmark::DoNotOptimize(response);
-  }
-  server.drain(1'000);
-}
-BENCHMARK(BM_PingRoundTrip);
-
-void BM_WarmCacheHit(benchmark::State& state) {
-  const obs::ScopedRegistry scoped(nullptr);
-  Server server(ServerOptions{});
-  const std::string frame = "{\"op\":\"layout\",\"id\":\"w\",\"n\":7}";
-  call(&server, frame);  // populate the cache
-  for (auto _ : state) {
-    const std::string response = call(&server, frame);
-    benchmark::DoNotOptimize(response);
-  }
-  server.drain(1'000);
-}
-BENCHMARK(BM_WarmCacheHit);
-
-void BM_ColdCensusCompute(benchmark::State& state) {
-  const obs::ScopedRegistry scoped(nullptr);
-  Server server(ServerOptions{});
-  u64 seed = 0;  // a fresh seed per iteration defeats the memoizer
-  for (auto _ : state) {
-    const std::string response =
-        call(&server, "{\"op\":\"census\",\"id\":\"c\",\"n\":5,\"packets\":20000,\"seed\":" +
-                          std::to_string(seed++) + "}");
-    benchmark::DoNotOptimize(response);
-  }
-  server.drain(5'000);
-}
-BENCHMARK(BM_ColdCensusCompute);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = bfly::bench::threads_override(&argc, argv);
+  const std::size_t threads = bfly::bench::threads_override(argc, argv);
   bfly::bench::BenchSession session("bench_serve");
   session.threads = threads;
   session.config("threads", static_cast<double>(threads));
@@ -397,7 +335,7 @@ int main(int argc, char** argv) {
                                                                                       : 0.0);
   session.artifact("serve_replay_frames", static_cast<double>(replay.frames));
 
-  // Machine-speed-dependent facts: reported for the trajectory, ignore-ruled
+  // Machine-speed-dependent counts: reported for the trajectory, ignore-ruled
   // in the gate (thresholds.json).
   json::Value counts = json::Value::object();
   counts.set("completed", json::Value::number(static_cast<double>(storm.ledger.completed)));
@@ -406,16 +344,8 @@ int main(int argc, char** argv) {
   counts.set("failed", json::Value::number(static_cast<double>(storm.ledger.failed)));
   counts.set("cache_hits", json::Value::number(static_cast<double>(storm.ledger.cache_hits)));
   counts.set("coalesced", json::Value::number(static_cast<double>(storm.ledger.coalesced)));
-  counts.set("wall_ms", json::Value::number(storm.wall_ms));
   session.artifact("serve_storm", std::move(counts));
-  json::Value latency = json::Value::object();
-  latency.set("p50", json::Value::number(storm.p50));
-  latency.set("p95", json::Value::number(storm.p95));
-  latency.set("p99", json::Value::number(storm.p99));
-  latency.set("p999", json::Value::number(storm.p999));
-  session.artifact("serve_latency_us", std::move(latency));
 
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

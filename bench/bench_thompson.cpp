@@ -2,8 +2,6 @@
 // Thompson model.  Measured area -> N^2/log2^2(N) = 2^{2n} and measured max
 // wire length -> N/log2(N) = 2^n, with machine-checked legality at the sizes
 // where geometry fits in memory.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -71,47 +69,14 @@ void print_prior_art() {
   std::fprintf(stderr, "\n");
 }
 
-void BM_LayoutMetricsStreaming(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const ButterflyLayoutPlan plan(ButterflyLayoutPlan::choose_parameters(n));
-  for (auto _ : state) {
-    const LayoutMetrics m = plan.metrics();
-    benchmark::DoNotOptimize(m.area);
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) *
-                          static_cast<benchmark::IterationCount>(plan.network().num_links()));
-}
-BENCHMARK(BM_LayoutMetricsStreaming)->Arg(6)->Arg(9)->Arg(12)->Unit(benchmark::kMillisecond);
-
-void BM_LayoutMaterialize(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const ButterflyLayoutPlan plan(ButterflyLayoutPlan::choose_parameters(n));
-  for (auto _ : state) {
-    const Layout layout = plan.materialize();
-    benchmark::DoNotOptimize(layout.wires().data());
-  }
-}
-BENCHMARK(BM_LayoutMaterialize)->Arg(6)->Arg(9)->Unit(benchmark::kMillisecond);
-
-void BM_MultilayerLegalityCheck(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const ButterflyLayoutPlan plan(ButterflyLayoutPlan::choose_parameters(n));
-  const Layout layout = plan.materialize();
-  for (auto _ : state) {
-    const LegalityReport r = check_multilayer(layout);
-    benchmark::DoNotOptimize(r.ok);
-  }
-}
-BENCHMARK(BM_MultilayerLegalityCheck)->Arg(6)->Arg(9)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_thompson");
   print_structure();
   print_convergence_table();
   print_prior_art();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

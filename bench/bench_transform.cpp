@@ -1,7 +1,5 @@
 // Experiment E2 (Figs. 1-2, Sec. 2.2): ISN -> swap-butterfly transformation
 // and the explicit isomorphism onto B_n, across parameterizations and sizes.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <cstdio>
@@ -45,48 +43,12 @@ void print_transform_table() {
   std::fprintf(stderr, "paper: every ISN(k_1..k_l) transforms into an automorphism of B_{n_l}.\n\n");
 }
 
-void BM_SwapButterflyBuild(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const SwapButterfly sb({k, k, k});
-    benchmark::DoNotOptimize(sb.dimension());
-  }
-}
-BENCHMARK(BM_SwapButterflyBuild)->Arg(2)->Arg(4)->Arg(6);
-
-void BM_IsomorphismVerification(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const SwapButterfly sb({k, k, k});
-  const Graph a = sb.graph();
-  const Graph b = Butterfly(sb.dimension()).graph();
-  const auto map = sb.isomorphism_to_butterfly();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(is_isomorphism(a, b, map));
-  }
-  state.SetItemsProcessed(static_cast<benchmark::IterationCount>(state.iterations()) *
-                          static_cast<benchmark::IterationCount>(a.num_edges()));
-}
-BENCHMARK(BM_IsomorphismVerification)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
-
-void BM_GraphContraction(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  const SwapButterfly sb({k, k, k});
-  const Graph g = sb.graph();
-  std::vector<u64> labels(g.num_nodes());
-  for (u64 id = 0; id < g.num_nodes(); ++id) labels[id] = sb.row_of(id) >> k;
-  for (auto _ : state) {
-    const Graph q = g.contract(labels, pow2(2 * k));
-    benchmark::DoNotOptimize(q.num_edges());
-  }
-}
-BENCHMARK(BM_GraphContraction)->Arg(2)->Arg(3)->Arg(4);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bfly::bench::no_arguments(argc, argv);
   bfly::bench::BenchSession session("bench_transform");
   print_transform_table();
-  session.run_benchmarks(argc, argv);
   session.emit_report();
   return 0;
 }

@@ -410,9 +410,9 @@ int main(int argc, char** argv) {
   report.artifact_stats.set("area", json::Value::number(m.area));
   report.artifact_stats.set("max_wire_length", json::Value::number(m.max_wire_length));
   report.artifact_stats.set("num_modules", json::Value::number(stats.num_modules));
-  // Attaching the time series bumps the report to schema v2; with BFLY_OBS
-  // compiled out the series is empty and the report stays v1 — both parse
-  // with obs::RunReport::parse / bflyreport.
+  // Attaching the time series bumps the report to schema v2; without one
+  // the report stays v1 — both parse with obs::RunReport::parse /
+  // bflyreport.
   if (!series.empty()) report.timeseries = series.to_json();
   if (!flights.empty()) report.flight = flights.to_json();
   {

@@ -148,8 +148,8 @@ std::string encode_checkpoint_line(const std::string& key, const SweepOutcome& o
   out.set("tally", tally_to_json(outcome.tally));
   out.set("live", live_to_json(outcome.live));
   // Telemetry-enabled points persist their samples so replay restores them
-  // bitwise; empty() covers both untelemetered points and BFLY_OBS=OFF
-  // builds, where nothing was collected and nothing needs round-tripping.
+  // bitwise; an untelemetered point collected nothing and needs no
+  // round-tripping.
   if (!outcome.timeseries.empty()) {
     out.set("timeseries", outcome.timeseries.to_json());
   }
@@ -181,8 +181,7 @@ CheckpointLoad load_checkpoint(const std::string& path) {
       outcome.point = point_from_json(out.at("point"));
       outcome.tally = tally_from_json(out.at("tally"));
       outcome.live = live_from_json(out.at("live"));
-      // Optional (v2): absent for untelemetered points and for journals
-      // written by BFLY_OBS=OFF builds.
+      // Optional (v2): absent for untelemetered points.
       if (const json::Value* ts = out.find("timeseries")) {
         outcome.timeseries = obs::TimeSeries::from_json(*ts);
       }

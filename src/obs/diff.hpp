@@ -161,7 +161,7 @@ struct ThresholdRule {
 ///   { "default": { "warn_rel": 0, "fail_rel": 0, "abs_tol": 0 },
 ///     "rules": [ { "match": "spans.*.total_us", "warn_rel": 0.25,
 ///                  "fail_rel": 3.0, "abs_tol": 20000 },
-///                { "match": "artifact_stats.obs_overhead_percent",
+///                { "match": "artifact_stats.serve_storm.*",
 ///                  "ignore": true } ] }
 struct Thresholds {
   ThresholdRule fallback;

@@ -3,11 +3,10 @@
 // RAII span tracer (obs/trace.hpp) writes into.
 //
 // Design constraints, in order:
-//  1. Zero cost when disabled.  Compile-time: -DBFLY_OBS_ENABLED=0 turns
-//     every instrumentation helper into a constant-folded no-op.  Runtime:
-//     the global Registry pointer defaults to nullptr and every helper
-//     null-checks it, so an uninstrumented process pays one predictable
-//     branch per *hoisted handle lookup*, not per event.
+//  1. Near-zero cost when disabled.  The global Registry pointer defaults
+//     to nullptr and every helper null-checks it, so an uninstrumented
+//     process pays one predictable branch per *hoisted handle lookup*, not
+//     per event.
 //  2. Cheap hot-path increments.  Handles (Counter*, Histogram*) are stable
 //     pointers; callers look them up once outside their loops and then do
 //     relaxed atomic adds — safe from any thread, no lock, no contention
@@ -31,10 +30,6 @@
 
 #include "util/bits.hpp"
 #include "util/check.hpp"
-
-#ifndef BFLY_OBS_ENABLED
-#define BFLY_OBS_ENABLED 1
-#endif
 
 namespace bfly::obs {
 
@@ -188,11 +183,7 @@ inline std::atomic<Registry*> g_registry{nullptr};
 
 /// The process-wide registry instrumentation reports into; nullptr (the
 /// default) disables all recording.
-#if BFLY_OBS_ENABLED
 inline Registry* registry() { return detail::g_registry.load(std::memory_order_acquire); }
-#else
-constexpr Registry* registry() { return nullptr; }
-#endif
 
 inline void set_registry(Registry* r) {
   detail::g_registry.store(r, std::memory_order_release);
@@ -210,8 +201,8 @@ class ScopedRegistry {
   Registry* previous_;
 };
 
-/// Hoistable handle lookups: nullptr when no registry is installed (or obs
-/// is compiled out), so the matching record helpers below no-op.
+/// Hoistable handle lookups: nullptr when no registry is installed, so the
+/// matching record helpers below no-op.
 inline Counter* get_counter(std::string_view name) {
   Registry* r = registry();
   return r ? r->counter(name) : nullptr;

@@ -117,8 +117,7 @@ TimeSeries TimeSeries::from_json(const json::Value& v) {
   for (std::size_t i = 0; i < channels.size(); ++i) {
     names.push_back(channels.at(i).as_string());
   }
-  // An empty channel list round-trips a series no engine ever filled (e.g. a
-  // telemetry-enabled point run in a BFLY_OBS=OFF build).
+  // An empty channel list round-trips a series no engine ever filled.
   if (!names.empty()) ts.reset_channels(std::move(names));
   const u64 stride = v.at("stride").as_u64();
   BFLY_REQUIRE(stride >= 1 && std::has_single_bit(stride),

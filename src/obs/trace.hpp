@@ -57,11 +57,7 @@ void write_chrome_trace(std::ostream& os, const Registry& registry);
 
 }  // namespace bfly::obs
 
-#if BFLY_OBS_ENABLED
-#define BFLY_OBS_CONCAT_IMPL(a, b) a##b
-#define BFLY_OBS_CONCAT(a, b) BFLY_OBS_CONCAT_IMPL(a, b)
+#define BFLY_TRACE_CONCAT_IMPL(a, b) a##b
+#define BFLY_TRACE_CONCAT(a, b) BFLY_TRACE_CONCAT_IMPL(a, b)
 #define BFLY_TRACE_SCOPE(name) \
-  const ::bfly::obs::SpanScope BFLY_OBS_CONCAT(bfly_obs_span_, __LINE__)(name)
-#else
-#define BFLY_TRACE_SCOPE(name) static_cast<void>(0)
-#endif
+  const ::bfly::obs::SpanScope BFLY_TRACE_CONCAT(bfly_obs_span_, __LINE__)(name)

@@ -161,8 +161,7 @@ inline constexpr u64 kCancelPollCycles = 64;
 /// snapshots for heatmap-over-time rendering.  Both are keyed purely by
 /// cycle index, so the samples are bitwise identical across thread counts
 /// and checkpoint replay, and passing nullptr (the default) leaves the
-/// simulation bit-for-bit unchanged.  With BFLY_OBS disabled at compile time
-/// the probe hooks compile out entirely and both sinks stay empty.
+/// simulation bit-for-bit unchanged.
 ///
 /// A non-null enabled `flight` records full per-packet hop traces for a
 /// deterministically sampled subset of packets (admission is a pure function

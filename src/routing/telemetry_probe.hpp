@@ -3,10 +3,7 @@
 // SaturationProbe is the thin adapter between an engine's cycle loop and an
 // obs::TimeSeries / obs::OccupancyFrames pair.  The cost contract it exists
 // to enforce:
-//   * disabled at compile time (BFLY_OBS_ENABLED=0) — every hook is an empty
-//     inline function; the engines compile exactly as before the probes
-//     existed;
-//   * disabled at runtime (both sinks null, the default) — every hook is one
+//   * disabled (both sinks null, the default) — every hook is one
 //     predictable branch on a bool the compiler keeps in a register;
 //   * enabled — per-event hooks are plain integer/double accumulations, and
 //     the O(links) occupancy gathers run only on sampling cycles, whose count
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"  // for BFLY_OBS_ENABLED
 #include "obs/timeseries.hpp"
 #include "routing/packet_arena.hpp"
 #include "util/bits.hpp"
@@ -32,14 +28,8 @@ namespace bfly::detail {
 
 class SaturationProbe {
  public:
-  SaturationProbe([[maybe_unused]] obs::TimeSeries* series,
-                  [[maybe_unused]] obs::OccupancyFrames* frames,
-                  [[maybe_unused]] int n, [[maybe_unused]] u64 rows) {
-#if BFLY_OBS_ENABLED
-    series_ = series;
-    frames_ = frames;
-    n_ = n;
-    rows_ = rows;
+  SaturationProbe(obs::TimeSeries* series, obs::OccupancyFrames* frames, int n, u64 rows)
+      : series_(series), frames_(frames), active_(series != nullptr), n_(n), rows_(rows) {
     if (series_ != nullptr) {
       std::vector<std::string> channels;
       channels.reserve(static_cast<std::size_t>(n) + 7);
@@ -54,39 +44,25 @@ class SaturationProbe {
       row_.resize(channels.size());
       series_->reset_channels(std::move(channels));
     }
-    active_ = series_ != nullptr;
-#endif
   }
 
   /// True when any sink is attached (engines may use this to skip work that
   /// only feeds the probe).
-  bool enabled() const {
-#if BFLY_OBS_ENABLED
-    return series_ != nullptr || frames_ != nullptr;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return series_ != nullptr || frames_ != nullptr; }
 
-  void on_injected([[maybe_unused]] u64 count) {
-#if BFLY_OBS_ENABLED
+  void on_injected(u64 count) {
     if (active_) injected_ += count;
-#endif
   }
 
-  void on_delivered([[maybe_unused]] u64 cycle, [[maybe_unused]] u64 injected_at) {
-#if BFLY_OBS_ENABLED
+  void on_delivered(u64 cycle, u64 injected_at) {
     if (active_) {
       ++delivered_;
       latency_sum_ += static_cast<double>(cycle + 1 - injected_at);
     }
-#endif
   }
 
   void on_dropped() {
-#if BFLY_OBS_ENABLED
     if (active_) ++dropped_;
-#endif
   }
 
   /// End-of-cycle sampling hook.  `in_flight` must equal the number of
@@ -95,9 +71,7 @@ class SaturationProbe {
   /// link count — constant for static fault sets, time-varying under a live
   /// fault schedule (the sampled series makes the fault epoch visible), and
   /// 0 on the pristine engine.
-  void sample([[maybe_unused]] u64 cycle, [[maybe_unused]] const PacketArena& arena,
-              [[maybe_unused]] u64 in_flight, [[maybe_unused]] u64 dead_links) {
-#if BFLY_OBS_ENABLED
+  void sample(u64 cycle, const PacketArena& arena, u64 in_flight, u64 dead_links) {
     if (active_ && series_->want(cycle)) {
       std::size_t c = 0;
       for (int s = 0; s < n_; ++s) {
@@ -126,10 +100,8 @@ class SaturationProbe {
       }
       frames_->record(cycle, frame_row_);
     }
-#endif
   }
 
-#if BFLY_OBS_ENABLED
  private:
   obs::TimeSeries* series_ = nullptr;
   obs::OccupancyFrames* frames_ = nullptr;
@@ -142,14 +114,13 @@ class SaturationProbe {
   double latency_sum_ = 0.0;
   std::vector<double> row_;
   std::vector<double> frame_row_;
-#endif
 };
 
 /// The per-packet sibling of SaturationProbe: the thin adapter between an
 /// engine's packet events and an obs::FlightRecorder.  Same cost contract —
-/// compiled out entirely without BFLY_OBS, one predictable branch per hook
-/// when no recorder is attached (the default), and when recording, plain
-/// integer appends on the deterministically sampled subset only.
+/// one predictable branch per hook when no recorder is attached (the
+/// default), and when recording, plain integer appends on the
+/// deterministically sampled subset only.
 ///
 /// The engines must build their PacketArena with the flight lane iff
 /// enabled() (the lane carries each sampled packet's handle through
@@ -157,68 +128,42 @@ class SaturationProbe {
 /// returns 0 ("unsampled") on lane-less arenas.
 class FlightProbe {
  public:
-  explicit FlightProbe([[maybe_unused]] obs::FlightRecorder* recorder) {
-#if BFLY_OBS_ENABLED
-    recorder_ = (recorder != nullptr && recorder->enabled()) ? recorder : nullptr;
-#endif
-  }
+  explicit FlightProbe(obs::FlightRecorder* recorder)
+      : recorder_((recorder != nullptr && recorder->enabled()) ? recorder : nullptr) {}
 
-  bool enabled() const {
-#if BFLY_OBS_ENABLED
-    return recorder_ != nullptr;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return recorder_ != nullptr; }
 
   /// Every created packet (sampled or not) flows through here, in creation
   /// order — packet identity is its position in this stream.  Returns the
   /// flight handle to store in the arena's flight lane (0 = unsampled).
-  u64 on_packet([[maybe_unused]] u64 cycle, [[maybe_unused]] u64 src,
-                [[maybe_unused]] u64 dst) {
-#if BFLY_OBS_ENABLED
-    if (recorder_ != nullptr) return recorder_->on_packet(cycle, src, dst);
-#endif
-    return 0;
+  u64 on_packet(u64 cycle, u64 src, u64 dst) {
+    return recorder_ != nullptr ? recorder_->on_packet(cycle, src, dst) : 0;
   }
 
   /// The packet behind `handle` entered `link`'s FIFO during `cycle`.
-  void on_push([[maybe_unused]] u64 handle, [[maybe_unused]] u64 cycle,
-               [[maybe_unused]] u64 link, [[maybe_unused]] obs::FlightEvent event) {
-#if BFLY_OBS_ENABLED
+  void on_push(u64 handle, u64 cycle, u64 link, obs::FlightEvent event) {
     if (recorder_ != nullptr && handle != 0) recorder_->on_hop(handle, cycle, link, event);
-#endif
   }
 
   /// The front packet of `link` hops to `next_link` via move_front (the
   /// engines' payload-invariant fast path, which never surfaces a Packet).
-  void on_advance([[maybe_unused]] const PacketArena& arena, [[maybe_unused]] u64 link,
-                  [[maybe_unused]] u64 cycle, [[maybe_unused]] u64 next_link) {
-#if BFLY_OBS_ENABLED
+  void on_advance(const PacketArena& arena, u64 link, u64 cycle, u64 next_link) {
     if (recorder_ != nullptr) {
       const u64 handle = arena.front_flight(link);
       if (handle != 0) recorder_->on_hop(handle, cycle, next_link, obs::FlightEvent::kAdvance);
     }
-#endif
   }
 
-  void on_delivered([[maybe_unused]] u64 handle, [[maybe_unused]] u64 cycle) {
-#if BFLY_OBS_ENABLED
+  void on_delivered(u64 handle, u64 cycle) {
     if (recorder_ != nullptr && handle != 0) recorder_->on_delivered(handle, cycle);
-#endif
   }
 
-  void on_dropped([[maybe_unused]] u64 handle, [[maybe_unused]] u64 cycle,
-                  [[maybe_unused]] u64 reason) {
-#if BFLY_OBS_ENABLED
+  void on_dropped(u64 handle, u64 cycle, u64 reason) {
     if (recorder_ != nullptr && handle != 0) recorder_->on_dropped(handle, cycle, reason);
-#endif
   }
 
-#if BFLY_OBS_ENABLED
  private:
   obs::FlightRecorder* recorder_ = nullptr;
-#endif
 };
 
 }  // namespace bfly::detail

@@ -60,8 +60,8 @@ struct RecoveryEvent {
 
 struct RecoveryAnalysis {
   /// True when the series carried the needed channels and enough samples;
-  /// false leaves everything else zero (e.g. BFLY_OBS=OFF builds, or a
-  /// point that ran without a telemetry budget).
+  /// false leaves everything else zero (e.g. a point that ran without a
+  /// telemetry budget).
   bool applicable = false;
   std::vector<RecoveryEvent> events;  ///< one per distinct fail cycle, in order
   u64 events_recovered = 0;

@@ -109,9 +109,8 @@ std::vector<SweepOutcome> saturation_sweep(std::span<const SweepPoint> points,
                            // across pool threads), so telemetry stays bitwise
                            // deterministic for any pool size.  The series is
                            // installed in the outcome only when the engine
-                           // actually filled it, so a BFLY_OBS=OFF build (where
-                           // the probe compiles out) leaves the outcome exactly
-                           // as a checkpoint replay would restore it.
+                           // actually filled it, so the outcome is exactly
+                           // what a checkpoint replay would restore.
                            obs::TimeSeries ts(std::max<u64>(p.telemetry_budget, 2));
                            obs::TimeSeries* ts_ptr =
                                p.telemetry_budget > 0 ? &ts : nullptr;

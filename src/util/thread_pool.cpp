@@ -36,12 +36,15 @@ void ThreadPool::worker_loop(std::size_t worker) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
+    // Counted before the task runs: the task's own epilogue is what lets its
+    // run_chunked caller return, so a count taken afterwards could still be
+    // missing when that caller reads stats().  Relaxed: each worker touches
+    // only its own slot, and the region's mutex orders this add before the
+    // caller's return.
+    slot.tasks.fetch_add(1, std::memory_order_relaxed);
     const auto t0 = std::chrono::steady_clock::now();
     task();
     const auto t1 = std::chrono::steady_clock::now();
-    // Relaxed: each worker touches only its own slot; stats() reads are a
-    // monotone snapshot, not a synchronization point.
-    slot.tasks.fetch_add(1, std::memory_order_relaxed);
     slot.busy_us.fetch_add(
         static_cast<u64>(
             std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count()),
@@ -57,8 +60,8 @@ bool ThreadPool::try_run_one() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
+  assists_.fetch_add(1, std::memory_order_relaxed);  // before the task, as in worker_loop
   task();
-  assists_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

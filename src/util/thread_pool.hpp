@@ -58,6 +58,11 @@ class ThreadPool {
   /// (relaxed atomics — no cross-worker contention), and callers that pull a
   /// task inline during help-while-wait count as assists.  A snapshot taken
   /// while regions are in flight is a consistent lower bound, not a barrier.
+  ///
+  /// Task and assist counts are taken when a task is dequeued, before it
+  /// runs, so a snapshot read after run_chunked returns includes every one
+  /// of its ranges.  busy_us is added when a task finishes, so it may lag by
+  /// the task a worker is still running.
   struct Stats {
     u64 tasks_executed = 0;  ///< tasks run anywhere: worker loops + assists
     u64 assists = 0;         ///< tasks a waiting submitter ran inline

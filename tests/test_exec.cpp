@@ -382,11 +382,9 @@ TEST(Exec, CancellationDiscardsPartialFlightTracesAndResumesBitIdentical) {
   EXPECT_EQ(resumed.status, exec::SweepStatus::kComplete);
   EXPECT_EQ(resumed.num_replayed, killed.num_completed);
   expect_outcomes_eq(resumed.outcomes, baseline);
-#if BFLY_OBS_ENABLED
   // The flight-budget points really carried traces through the journal.
   EXPECT_FALSE(resumed.outcomes[2].flight.empty());
   EXPECT_FALSE(resumed.outcomes.back().flight.empty());
-#endif
   std::remove(path.c_str());
 }
 

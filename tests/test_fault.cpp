@@ -18,7 +18,7 @@
 #include "sim/degradation.hpp"
 #include "fault/fault_routing.hpp"
 #include "fault/fault_set.hpp"
-#include "fault/reference_fault_sim.hpp"
+#include "reference_fault_sim.hpp"
 #include "layout/butterfly_layout.hpp"
 #include "layout/render.hpp"
 #include "packaging/hierarchical.hpp"

@@ -499,11 +499,7 @@ TEST(Recovery, MeasuresTimeToRecoverAndTransientLoss) {
   p.schedule = &schedule;
   const std::vector<SweepOutcome> out = saturation_sweep({&p, 1});
   const RecoveryAnalysis rec = analyze_recovery(out[0].timeseries, schedule);
-  if (out[0].timeseries.empty()) {
-    // BFLY_OBS=OFF builds record no series; the analysis degrades, not throws.
-    EXPECT_FALSE(rec.applicable);
-    return;
-  }
+  ASSERT_FALSE(out[0].timeseries.empty());
   ASSERT_TRUE(rec.applicable);
   ASSERT_EQ(rec.events.size(), 1u);  // one distinct fail cycle
   const RecoveryEvent& ev = rec.events[0];

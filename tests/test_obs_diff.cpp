@@ -56,8 +56,8 @@ TEST(RunReportTest, ParsesWellFormedReport) {
 
 TEST(RunReportTest, ParsesRealReportWriterOutput) {
   // The analytics layer must accept exactly what obs/report.cpp emits.
-  // Registry handles are driven directly (not via the get_* helpers) so the
-  // round trip also holds in the BFLY_OBS=OFF build.
+  // Registry handles are driven directly (not via the get_* helpers), so the
+  // round trip needs no installed registry.
   Registry registry;
   registry.counter("work.items")->add(42);
   Histogram* h = registry.histogram("work.size", Histogram::linear_bounds(1, 1, 8));

@@ -28,7 +28,6 @@
 #include "layout/butterfly_layout.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"  // for BFLY_OBS_ENABLED
 #include "routing/routing.hpp"
 #include "sim/sweep.hpp"
 #include "util/check.hpp"
@@ -345,9 +344,7 @@ TEST(FlightJsonTest, ChromeTraceIsValidJson) {
 
 // --- engine integration ------------------------------------------------------
 //
-// These run the real engines.  With BFLY_OBS compiled out the probe hooks
-// vanish and the recorder stays empty — the tests then only assert the
-// observation-changes-nothing half of the contract.
+// These run the real engines.
 
 SweepPoint flight_point(u64 flight_budget, const FaultSet* faults = nullptr) {
   SweepPoint p;
@@ -373,11 +370,7 @@ TEST(EngineFlightTest, RecorderLeavesTheOutcomeBitUnchanged) {
   EXPECT_EQ(without.max_queue, with.max_queue);
   EXPECT_DOUBLE_EQ(without.throughput, with.throughput);
   EXPECT_DOUBLE_EQ(without.avg_latency, with.avg_latency);
-#if BFLY_OBS_ENABLED
   EXPECT_FALSE(rec.empty());
-#else
-  EXPECT_TRUE(rec.empty());
-#endif
 }
 
 TEST(EngineFlightTest, SampledSetIsIdenticalAcrossThreadCounts) {
@@ -391,10 +384,8 @@ TEST(EngineFlightTest, SampledSetIsIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(serial[i].flight == two[i].flight) << "point " << i;
     EXPECT_TRUE(serial[i].flight == eight[i].flight) << "point " << i;
   }
-#if BFLY_OBS_ENABLED
   EXPECT_FALSE(serial[0].flight.empty());
   EXPECT_FALSE(serial[1].flight.empty());
-#endif
 }
 
 TEST(EngineFlightTest, FaultyEngineOnEmptyFaultSetMatchesPristineBitwise) {
@@ -410,12 +401,9 @@ TEST(EngineFlightTest, FaultyEngineOnEmptyFaultSetMatchesPristineBitwise) {
   simulate_saturation_faulty(p.n, p.offered_load, p.cycles, p.seed, none, {},
                              p.warmup_cycles, 0, nullptr, nullptr, nullptr, &faulty);
   EXPECT_TRUE(pristine == faulty);
-#if BFLY_OBS_ENABLED
   ASSERT_FALSE(pristine.empty());
-#endif
 }
 
-#if BFLY_OBS_ENABLED
 TEST(EngineFlightTest, EveryDeliveredTraceDecomposesExactly) {
   const FaultSet faults = FaultSet::random_links(6, 0.03, 9);
   const std::vector<SweepPoint> points = {flight_point(48), flight_point(48, &faults)};
@@ -460,7 +448,6 @@ TEST(EngineFlightTest, RecordedStateSurvivesTheJsonRoundTrip) {
   EXPECT_TRUE(out[0].flight == back);
   EXPECT_EQ(out[0].flight.to_json().dump(), back.to_json().dump());
 }
-#endif  // BFLY_OBS_ENABLED
 
 }  // namespace
 }  // namespace bfly::obs

@@ -17,7 +17,6 @@
 
 #include "fault/fault_routing.hpp"
 #include "fault/fault_set.hpp"
-#include "obs/metrics.hpp"  // for BFLY_OBS_ENABLED
 #include "obs/timeseries.hpp"
 #include "routing/routing.hpp"
 #include "sim/sweep.hpp"
@@ -223,9 +222,7 @@ TEST(OccupancyFramesTest, ThinsLikeTimeSeries) {
 
 // --- engine integration ------------------------------------------------------
 //
-// These run the real engines.  With BFLY_OBS compiled out the probe hooks are
-// empty and the series stays empty — the tests then only assert the
-// observation-changes-nothing half of the contract.
+// These run the real engines.
 
 SweepPoint probe_point(u64 telemetry_budget, const FaultSet* faults = nullptr) {
   SweepPoint p;
@@ -253,14 +250,9 @@ TEST(EngineTelemetryTest, ProbeLeavesTheOutcomeBitUnchanged) {
   EXPECT_EQ(without.max_queue, with.max_queue);
   EXPECT_DOUBLE_EQ(without.throughput, with.throughput);
   EXPECT_DOUBLE_EQ(without.avg_latency, with.avg_latency);
-#if BFLY_OBS_ENABLED
   EXPECT_FALSE(ts.empty());
   EXPECT_FALSE(frames.empty());
   EXPECT_GT(frames.num_links(), 0u);
-#else
-  EXPECT_TRUE(ts.empty());
-  EXPECT_TRUE(frames.empty());
-#endif
 }
 
 TEST(EngineTelemetryTest, SamplesAreIdenticalAcrossThreadCounts) {
@@ -271,10 +263,8 @@ TEST(EngineTelemetryTest, SamplesAreIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_TRUE(serial[i].timeseries == parallel[i].timeseries) << "point " << i;
   }
-#if BFLY_OBS_ENABLED
   EXPECT_FALSE(serial[0].timeseries.empty());
   EXPECT_FALSE(serial[1].timeseries.empty());
-#endif
 }
 
 TEST(EngineTelemetryTest, FaultyEngineWithEmptyFaultSetMatchesItsOwnReplay) {
@@ -287,15 +277,12 @@ TEST(EngineTelemetryTest, FaultyEngineWithEmptyFaultSetMatchesItsOwnReplay) {
   const std::vector<SweepOutcome> a = saturation_sweep(points, 1);
   const std::vector<SweepOutcome> b = saturation_sweep(points, 2);
   EXPECT_TRUE(a[0].timeseries == b[0].timeseries);
-#if BFLY_OBS_ENABLED
   ASSERT_FALSE(a[0].timeseries.empty());
   const std::vector<SweepPoint> pristine_points = {probe_point(64)};
   const std::vector<SweepOutcome> pristine = saturation_sweep(pristine_points, 1);
   EXPECT_EQ(a[0].timeseries.channels(), pristine[0].timeseries.channels());
-#endif
 }
 
-#if BFLY_OBS_ENABLED
 TEST(EngineTelemetryTest, LittlesLawHoldsOnAPristineSteadyRun) {
   // The acceptance oracle: a B_8 run at load 0.5 (well below saturation)
   // must satisfy L ≈ λW over its steady window.
@@ -336,7 +323,6 @@ TEST(EngineTelemetryTest, ChannelLayoutMatchesTheDocumentedScheme) {
     EXPECT_LE(ts.value(i, fill), 1.0);
   }
 }
-#endif  // BFLY_OBS_ENABLED
 
 }  // namespace
 }  // namespace bfly::obs

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "routing/reference_sim.hpp"
+#include "reference_sim.hpp"
 #include "routing/routing.hpp"
 #include "util/prng.hpp"
 

@@ -250,6 +250,28 @@ TEST(ThreadPool, AssistsAreVisibleWhenTheCallerHelps) {
   EXPECT_GT(stats.worker_busy_us.size(), 0u);
 }
 
+TEST(ThreadPool, CountsReadAfterRunChunkedIncludeEveryRange) {
+  // The stats() contract under reuse: the two-range scenario above, repeated
+  // on one pool.  The range that resolves the region may be the worker's, so
+  // its task must be counted by the time run_chunked returns.
+  ThreadPool pool(1);
+  constexpr u64 kRounds = 20'000;
+  u64 short_rounds = 0;
+  for (u64 round = 1; round <= kRounds; ++round) {
+    std::atomic<int> started{0};
+    pool.run_chunked(0, 2, 2, [&](std::size_t, std::size_t, std::size_t) {
+      started.fetch_add(1);
+      while (started.load() < 2) std::this_thread::yield();
+    });
+    const ThreadPool::Stats stats = pool.stats();
+    if (stats.tasks_executed != 2 * round || stats.assists != round ||
+        stats.worker_tasks[0] != round) {
+      ++short_rounds;
+    }
+  }
+  EXPECT_EQ(short_rounds, 0u);
+}
+
 TEST(ThreadPool, ParallelForChunkedForwardsToken) {
   CancelToken token;
   token.request_cancel();

@@ -13,7 +13,7 @@
 //                    [--bench-dir <dir>]
 //       CI gate: for every <name>.json baseline in <dir>, obtain the current
 //       report — <reports>/<name>.run.json if present, otherwise by running
-//       <bench-dir>/<name> --benchmark_filter=none — diff it against the
+//       <bench-dir>/<name> — diff it against the
 //       baseline, classify with the thresholds file (default
 //       <dir>/thresholds.json), and exit non-zero on any FAIL.
 //
@@ -257,14 +257,14 @@ int run_trend(std::vector<std::string> args) {
   return 0;
 }
 
-/// Runs a bench binary with benchmarks filtered out and returns its stdout
-/// (the single-line JSON run report; tables stay on the inherited stderr).
+/// Runs a bench binary and returns its stdout (the single-line JSON run
+/// report; tables stay on the inherited stderr).
 std::string capture_bench_report(const fs::path& binary) {
   // Built by appends: GCC 12 reports a false -Wrestrict inside
   // std::string's operator+ chain here.
   std::string command = "'";
   command += binary.string();
-  command += "' --benchmark_filter=none";
+  command += "'";
   if (binary.string().find('\'') != std::string::npos) {
     throw InvalidArgument("bench path must not contain quotes: " + binary.string());
   }
