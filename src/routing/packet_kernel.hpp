@@ -24,6 +24,9 @@
 // Xoshiro256(seed): a serial run equals the sharded run at shard_count 1
 // seeded with seed ^ kStreamSeedMix, bit for bit.
 //
+// The arena stores a packet's injection cycle as a u32, so the kernel
+// requires cycles < 2^32 before it allocates anything.
+//
 // Every run keeps a whole-run conservation ledger per shard and
 // BFLY_CHECKs offered == delivered + dropped + in_flight before returning.
 // Probes (telemetry, occupancy frames, flight traces, latency and depth
@@ -261,6 +264,7 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
     l.advance_to(u64{0}, dead);
   };
   static_assert(!(kSharded && kScheduled), "live schedules run on one shard only");
+  BFLY_REQUIRE(cycles < (u64{1} << 32), "cycles must be below 2^32");
 
   const u64 rows = pow2(n);
   const u64 num_shards = kSharded ? options.shard_count : 1;
@@ -272,6 +276,7 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   const u64 queue_capacity = options.queue_capacity;
   const u32 misroute_budget = static_cast<u32>(std::max(options.routing.misroute_budget, 0));
   const u32 wrap_budget = static_cast<u32>(std::max(options.routing.wrap_budget, 0));
+  const u64 inject_threshold = uniform_threshold(offered_load);
   // Worker cap for the sharded phases (default_thread_count() is a syscall,
   // so the serial kernel never asks).
   const std::size_t threads =
@@ -484,7 +489,7 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
     }
     u64 cycle_injections = 0;
     for (u64 row = row0; row < row0 + block; ++row) {
-      if (rng.uniform() < offered_load) {
+      if (rng.uniform_below(inject_threshold)) {
         ++led.offered;
         Packet pkt{rng.below(rows), cycle, 0, 0, 0};
         // Sampled before the endpoint check, so the packet-id stream is the

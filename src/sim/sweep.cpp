@@ -16,6 +16,7 @@ void validate_sweep_point(const SweepPoint& point, std::size_t index) {
   BFLY_REQUIRE(point.n >= 1 && point.n <= 30,
                where + "butterfly dimension must be in [1, 30]");
   BFLY_REQUIRE(point.cycles > 0, where + "cycles must be positive");
+  BFLY_REQUIRE(point.cycles < (u64{1} << 32), where + "cycles must be below 2^32");
   BFLY_REQUIRE(point.warmup_cycles < point.cycles,
                where + "warmup_cycles must be less than cycles");
   BFLY_REQUIRE(std::isfinite(point.offered_load), where + "offered_load must be finite");

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 
 namespace bfly {
@@ -53,6 +55,9 @@ class Xoshiro256 {
 
   /// Uniform integer in [0, bound) using Lemire's multiply-shift reduction.
   constexpr std::uint64_t below(std::uint64_t bound) {
+    // A power of two divides 2^64: the rejection threshold below is 0 and
+    // r % bound keeps r's low bits, so a mask draws the same stream.
+    if (std::has_single_bit(bound)) return (*this)() & (bound - 1);
     // For our simulation bounds (<= 2^32) the bias of a plain 128-bit
     // multiply-high reduction is negligible, but we reject to be exact.
     const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
@@ -67,6 +72,12 @@ class Xoshiro256 {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
+  /// `uniform() < p` without the double, for threshold = uniform_threshold(p):
+  /// the same decision on every draw.
+  constexpr bool uniform_below(std::uint64_t threshold) {
+    return ((*this)() >> 11) < threshold;
+  }
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -74,5 +85,15 @@ class Xoshiro256 {
 
   std::array<std::uint64_t, 4> state_;
 };
+
+/// The integer threshold of Xoshiro256::uniform_below.  uniform() is
+/// m * 2^-53 for the 53-bit m = draw >> 11, and both m * 2^-53 and p * 2^53
+/// are exact in double, so uniform() < p exactly when m < ceil(p * 2^53).
+/// p >= 1 admits every m; p <= 0 and NaN admit none.
+inline std::uint64_t uniform_threshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
 
 }  // namespace bfly

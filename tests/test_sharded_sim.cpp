@@ -6,7 +6,8 @@
 // invariant across thread counts — and every offered packet is exactly
 // accounted for (delivered + dropped + in flight == offered) over the whole
 // run, warmup included.  On top of that sit the SPSC hand-off ring's FIFO
-// semantics, the PacketArena's index-width hardening, the sweep integration
+// semantics, the PacketArena against a deque model and its index-width
+// hardening, the kernel's cycle bound, the sweep integration
 // (dispatch, serial fallback, checkpoint identity), and the kill/resume
 // bit-identity of a checkpointed sharded grid.
 #include <gtest/gtest.h>
@@ -14,7 +15,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <deque>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/checkpoint.hpp"
@@ -27,6 +31,7 @@
 #include "sim/sweep.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
+#include "util/prng.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace bfly {
@@ -137,6 +142,10 @@ TEST(PacketArena, RejectsLinkCountBeyondIndexWidth) {
   EXPECT_THROW(PacketArena(u64{1} << 33), InvalidArgument);
   EXPECT_THROW(PacketArena(static_cast<u64>(PacketArena::kNil)), InvalidArgument);
   EXPECT_NO_THROW(PacketArena(1));
+  // Head cells and slots share the index space: a link count that fits on
+  // its own still fails once the default 4096 initial slots are added.
+  EXPECT_THROW(PacketArena(static_cast<u64>(PacketArena::kNil) - 4096), InvalidArgument);
+  EXPECT_THROW(PacketArena(static_cast<u64>(PacketArena::kNil) - 1), InvalidArgument);
 }
 
 TEST(PacketArena, RejectsInitialSlotsBeyondIndexWidth) {
@@ -144,6 +153,188 @@ TEST(PacketArena, RejectsInitialSlotsBeyondIndexWidth) {
   EXPECT_THROW(PacketArena(4, false, false, static_cast<std::size_t>(PacketArena::kNil)),
                InvalidArgument);
   EXPECT_NO_THROW(PacketArena(4, false, false, 16));
+  // Each count fits alone; together they reach kNil.
+  EXPECT_THROW(PacketArena(1, false, false, static_cast<std::size_t>(PacketArena::kNil) - 1),
+               InvalidArgument);
+  EXPECT_THROW(PacketArena(u64{1} << 31, false, false, std::size_t{1} << 31), InvalidArgument);
+  EXPECT_THROW(PacketArena(static_cast<u64>(PacketArena::kNil) / 2, true, true,
+                           static_cast<std::size_t>(PacketArena::kNil) / 2 + 1),
+               InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// PacketArena against a deque-per-link model
+
+/// Drives a PacketArena and a std::deque per link with the same random
+/// push / move_front / pop stream and compares every observable after each
+/// operation.  Lanes the arena lacks read back as 0 (misroutes, wraps and
+/// flight), so the model stores what the arena must return.
+void run_arena_model(bool with_budgets, bool with_flight, u64 seed) {
+  using Packet = PacketArena::Packet;
+  constexpr u64 kLinks = 150;  // three occupancy words, the last one partial
+  constexpr std::size_t kInitialSlots = 8;
+  PacketArena arena(kLinks, with_budgets, with_flight, kInitialSlots);
+  std::vector<std::deque<Packet>> model(kLinks);
+  Xoshiro256 rng(seed);
+  u64 population = 0;
+
+  const auto expect_equal_packets = [](const Packet& got, const Packet& want) {
+    EXPECT_EQ(got.dst, want.dst);
+    EXPECT_EQ(got.injected_at, want.injected_at);
+    EXPECT_EQ(got.misroutes, want.misroutes);
+    EXPECT_EQ(got.wraps, want.wraps);
+    EXPECT_EQ(got.flight, want.flight);
+  };
+  const auto random_packet = [&] {
+    Packet p;
+    p.dst = rng.below(u64{1} << 30);
+    p.injected_at = rng() >> 32;  // the whole u32 range
+    const u32 misroutes = static_cast<u32>(rng());
+    const u32 wraps = static_cast<u32>(rng());
+    const u64 flight = rng();
+    p.misroutes = misroutes;
+    p.wraps = wraps;
+    p.flight = flight;
+    Packet stored = p;  // what the arena reads back
+    if (!with_budgets) stored.misroutes = stored.wraps = 0;
+    if (!with_flight) stored.flight = 0;
+    return std::pair<Packet, Packet>(p, stored);
+  };
+  const auto non_empty_link = [&] {
+    for (;;) {
+      const u64 link = rng.below(kLinks);
+      if (!model[link].empty()) return link;
+    }
+  };
+  const auto expect_link_matches = [&](u64 link) {
+    const std::deque<Packet>& q = model[link];
+    ASSERT_EQ(arena.size(link), q.size()) << "link " << link;
+    ASSERT_EQ(arena.empty(link), q.empty()) << "link " << link;
+    if (!q.empty()) {
+      ASSERT_EQ(arena.front_dst(link), q.front().dst) << "link " << link;
+      ASSERT_EQ(arena.front_flight(link), q.front().flight) << "link " << link;
+    }
+  };
+  const auto expect_matches_model = [&] {
+    u64 max_size = 0;
+    for (u64 link = 0; link < kLinks; ++link) {
+      ASSERT_NO_FATAL_FAILURE(expect_link_matches(link));
+      max_size = std::max<u64>(max_size, model[link].size());
+    }
+    ASSERT_EQ(arena.max_size(), max_size);
+  };
+
+  // Three phases: grow the population past the initial slots, churn, drain.
+  for (const int push_weight : {7, 4, 1}) {
+    for (int op = 0; op < 1500; ++op) {
+      const u64 pick = rng.below(10);
+      if (population == 0 || pick < static_cast<u64>(push_weight)) {
+        const u64 link = rng.below(kLinks);
+        const auto [pushed, stored] = random_packet();
+        arena.push(link, pushed);
+        model[link].push_back(stored);
+        ++population;
+        ASSERT_NO_FATAL_FAILURE(expect_link_matches(link));
+      } else if (pick < 8) {
+        // Includes from == to: the front moves to the back of its own FIFO.
+        const u64 from = non_empty_link();
+        const u64 to = rng.below(4) == 0 ? from : rng.below(kLinks);
+        arena.move_front(from, to);
+        model[to].push_back(model[from].front());
+        model[from].pop_front();
+        ASSERT_NO_FATAL_FAILURE(expect_link_matches(from));
+        ASSERT_NO_FATAL_FAILURE(expect_link_matches(to));
+      } else {
+        const u64 link = non_empty_link();
+        expect_equal_packets(arena.pop(link), model[link].front());
+        model[link].pop_front();
+        --population;
+        ASSERT_NO_FATAL_FAILURE(expect_link_matches(link));
+      }
+      if (op % 16 == 0) {
+        ASSERT_NO_FATAL_FAILURE(expect_matches_model());
+      }
+    }
+    if (push_weight == 7) {
+      EXPECT_GT(arena.capacity(), kInitialSlots);  // it grew
+    }
+
+    // for_each_occupied visits exactly the non-empty links of a random
+    // range in increasing order, while the visitor pops the visited link.
+    for (int sweep = 0; sweep < 20; ++sweep) {
+      const u64 begin = rng.below(kLinks);
+      const u64 end = begin + rng.below(kLinks - begin + 1);
+      std::vector<u64> expected;
+      for (u64 link = begin; link < end; ++link) {
+        if (!model[link].empty()) expected.push_back(link);
+      }
+      std::vector<u64> visited;
+      arena.for_each_occupied(begin, end, [&](u64 link) {
+        visited.push_back(link);
+        if (rng.below(2) == 0) {
+          expect_equal_packets(arena.pop(link), model[link].front());
+          model[link].pop_front();
+          --population;
+        }
+      });
+      EXPECT_EQ(visited, expected);
+      ASSERT_NO_FATAL_FAILURE(expect_matches_model());
+    }
+  }
+  // Drain everything: every FIFO returns its packets in push order.
+  for (u64 link = 0; link < kLinks; ++link) {
+    while (!model[link].empty()) {
+      expect_equal_packets(arena.pop(link), model[link].front());
+      model[link].pop_front();
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_matches_model());
+  u64 visits = 0;
+  arena.for_each_occupied(0, kLinks, [&](u64) { ++visits; });
+  EXPECT_EQ(visits, 0u);
+}
+
+TEST(PacketArena, MatchesADequePerLinkModel) {
+  for (const bool with_budgets : {false, true}) {
+    for (const bool with_flight : {false, true}) {
+      for (const u64 seed : {u64{1}, u64{2}, u64{3}}) {
+        SCOPED_TRACE(::testing::Message() << "budgets=" << with_budgets
+                                          << " flight=" << with_flight << " seed=" << seed);
+        run_arena_model(with_budgets, with_flight, seed);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The kernel's cycle bound: injected_at is stored as a u32 cycle
+
+TEST(PacketKernel, RejectsCyclesBeyondTheInjectionStampWidth) {
+  // Every entry point refuses 2^32 cycles before it allocates or simulates.
+  const u64 too_many = u64{1} << 32;
+  EXPECT_THROW(simulate_saturation(4, 0.5, too_many, 1), InvalidArgument);
+  EXPECT_THROW(simulate_saturation_faulty(4, 0.5, too_many, 1, FaultSet(4)), InvalidArgument);
+  EXPECT_THROW(simulate_saturation_sharded(4, 0.5, too_many, 1), InvalidArgument);
+  ShardedOptions one_shard;
+  one_shard.shard_count = 1;
+  EXPECT_THROW(simulate_saturation_sharded(4, 0.5, too_many, 1, one_shard), InvalidArgument);
+  const FaultSet empty(4);
+  EXPECT_THROW(simulate_saturation_sharded(4, 0.5, too_many, 1, {}, &empty), InvalidArgument);
+
+  SweepPoint point;
+  point.n = 4;
+  point.offered_load = 0.5;
+  point.cycles = too_many;
+  try {
+    validate_sweep_point(point, 3);
+    ADD_FAILURE() << "2^32 cycles accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("sweep point 3"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("2^32"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(saturation_sweep(std::vector<SweepPoint>(1, point)), InvalidArgument);
+  point.cycles = too_many - 1;
+  EXPECT_NO_THROW(validate_sweep_point(point, 3));
 }
 
 // ---------------------------------------------------------------------------

@@ -135,6 +135,54 @@ TEST(Prng, UniformInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
+TEST(Prng, BelowPowerOfTwoMatchesTheRejectionPath) {
+  // below() masks a power-of-two bound.  The reference is the general path:
+  // reject draws under 2^64 mod bound, then reduce modulo bound.
+  const auto reference_below = [](Xoshiro256& rng, u64 bound) {
+    const u64 threshold = (~bound + 1) % bound;
+    for (;;) {
+      const u64 r = rng();
+      if (r >= threshold) return r % bound;
+    }
+  };
+  for (const u64 seed : {u64{1}, u64{7}, u64{42}, u64{0xdeadbeef}}) {
+    for (int k = 0; k <= 32; ++k) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " k=" << k);
+      Xoshiro256 fast(seed);
+      Xoshiro256 ref(seed);
+      for (int i = 0; i < 200; ++i) {
+        ASSERT_EQ(fast.below(pow2(k)), reference_below(ref, pow2(k)));
+      }
+      EXPECT_EQ(fast(), ref());  // both consumed the same number of draws
+    }
+  }
+}
+
+TEST(Prng, UniformThresholdAgreesWithTheDoubleComparison) {
+  // uniform_below(uniform_threshold(p)) must decide exactly as
+  // uniform() < p: at the boundary draws m = T - 1 and m = T (m being the
+  // 53-bit draw >> 11), and on random draws.
+  const double eps = 0x1.0p-53;
+  for (const double p : {0.0, eps, 0.1, 0.5, 0.9, 1.0 - eps, 1.0}) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const u64 t = uniform_threshold(p);
+    ASSERT_LE(t, u64{1} << 53);
+    const auto as_uniform = [](u64 m) { return static_cast<double>(m) * 0x1.0p-53; };
+    if (t > 0) {
+      EXPECT_LT(as_uniform(t - 1), p);
+    }
+    if (t < (u64{1} << 53)) {
+      EXPECT_FALSE(as_uniform(t) < p);
+    }
+    Xoshiro256 a(static_cast<u64>(p * 1000) + 3);
+    Xoshiro256 b = a;
+    for (int i = 0; i < 20000; ++i) ASSERT_EQ(a.uniform_below(t), b.uniform() < p);
+  }
+  EXPECT_EQ(uniform_threshold(0.0), 0u);
+  EXPECT_EQ(uniform_threshold(eps), 1u);
+  EXPECT_EQ(uniform_threshold(1.0), u64{1} << 53);
+}
+
 TEST(Parallel, SumsMatchSerial) {
   const std::size_t n = 100000;
   std::vector<u64> data(n);
