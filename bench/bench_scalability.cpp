@@ -4,12 +4,13 @@
 //
 // Plus the packet-engine scalability study: one large B_12 saturation curve
 // on the cycle-parallel sharded engine (routing/sharded_sim.hpp).  The curve
-// is a pure function of (n, load, cycles, seed, shard_count) — bitwise
-// machine-independent — so it is exported as an exact-gated artifact together
-// with its conservation ledger.
+// is a pure function of (n, load, cycles, seed) — bitwise machine-independent
+// and equal to the serial engine's — so it is exported as an exact-gated
+// artifact together with its conservation ledger and the serial check.
 #include "bench_common.hpp"
 
 #include <cstdio>
+#include <cstring>
 
 #include "core/bfly.hpp"
 
@@ -50,10 +51,22 @@ void print_node_size_sweep(int n, int L) {
   std::fprintf(stderr, "       node grid dominates and area grows ~ W^2.\n\n");
 }
 
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+/// Every SaturationPoint field, doubles compared bit for bit.
+bool same_point(const SaturationPoint& a, const SaturationPoint& b) {
+  return same_bits(a.offered_load, b.offered_load) && same_bits(a.throughput, b.throughput) &&
+         same_bits(a.avg_latency, b.avg_latency) &&
+         same_bits(a.per_node_injection, b.per_node_injection) && a.delivered == b.delivered &&
+         a.max_queue == b.max_queue && a.dropped_queue_full == b.dropped_queue_full;
+}
+
 /// The sharded B_12 saturation curve with its conservation ledger.  Exports
-/// two exact-gated artifacts: "sharded_curve" (the per-load statistics, all
-/// deterministic) and "sharded_conservation_pass" (1 iff every point's
-/// offered == delivered + dropped + in-flight held exactly).
+/// three exact-gated artifacts: "sharded_curve" (the per-load statistics,
+/// all deterministic), "sharded_conservation_pass" (1 iff every point's
+/// offered == delivered + dropped + in-flight held exactly) and
+/// "sharded_matches_serial_pass" (1 iff every point equals
+/// simulate_saturation at the same parameters, bit for bit).
 void print_sharded_curve(std::size_t threads, bfly::bench::BenchSession* session) {
   std::fprintf(stderr, "=== sharded saturation curve: B_%d, %llu shards ===\n", kShardN,
                static_cast<unsigned long long>(kShardCount));
@@ -61,6 +74,7 @@ void print_sharded_curve(std::size_t threads, bfly::bench::BenchSession* session
                "avg latency", "delivered", "dropped", "in flight", "conserved");
   json::Value curve = json::Value::array();
   bool all_conserved = true;
+  bool all_match_serial = true;
   for (const double load : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
     ShardedOptions opt;
     opt.shard_count = kShardCount;
@@ -69,6 +83,10 @@ void print_sharded_curve(std::size_t threads, bfly::bench::BenchSession* session
     const ShardedSaturationPoint r =
         simulate_saturation_sharded(kShardN, load, kShardCycles, kShardSeed, opt);
     all_conserved = all_conserved && r.conserved();
+    all_match_serial =
+        all_match_serial &&
+        same_point(r.point, simulate_saturation(kShardN, load, kShardCycles, kShardSeed,
+                                                kShardWarmup));
     std::fprintf(stderr, "%8.2f %12.4f %12.2f %12llu %10llu %12llu %10s\n", load,
                  r.point.throughput, r.point.avg_latency,
                  static_cast<unsigned long long>(r.point.delivered),
@@ -87,10 +105,13 @@ void print_sharded_curve(std::size_t threads, bfly::bench::BenchSession* session
     pt.set("in_flight_end", json::Value::number(r.in_flight_end));
     curve.push_back(std::move(pt));
   }
-  std::fprintf(stderr, "curve is a pure function of (n, load, cycles, seed, shard_count):\n");
-  std::fprintf(stderr, "       every runner and thread count reproduces these bits exactly.\n\n");
+  std::fprintf(stderr, "curve is a pure function of (n, load, cycles, seed): every runner,\n");
+  std::fprintf(stderr, "       thread count and shard count reproduces these bits exactly.\n");
+  std::fprintf(stderr, "equals simulate_saturation bit for bit: %s\n\n",
+               all_match_serial ? "yes" : "NO");
   session->artifact("sharded_curve", std::move(curve));
   session->artifact("sharded_conservation_pass", all_conserved ? 1.0 : 0.0);
+  session->artifact("sharded_matches_serial_pass", all_match_serial ? 1.0 : 0.0);
 }
 
 }  // namespace

@@ -117,8 +117,11 @@ std::string sweep_point_key(const SweepPoint& point) {
   h.update(point.queue_capacity);
   h.update(point.telemetry_budget);
   h.update(point.flight_budget);
-  // v5: the sharded engine's per-row-block RNG decomposition makes
-  // shard_count outcome-relevant, so it keys distinct records (0 = serial).
+  // shard_count has not changed an outcome since v6, but it stays in the
+  // key: perfbench's curve workload journals a serial and a sharded family
+  // of otherwise equal points into one file, and checks that the sharded
+  // family computes instead of replaying.  Dropping it waits for a change to
+  // that workload (ROADMAP item 1).
   h.update(point.shard_count);
   h.update(static_cast<u64>(static_cast<i64>(point.routing.misroute_budget)));
   h.update(static_cast<u64>(static_cast<i64>(point.routing.wrap_budget)));

@@ -4,7 +4,7 @@
 // sweep point, appended durably (util::append_line_durable) the moment the
 // point finishes:
 //
-//   {"v": 5, "key": "<16 hex>",
+//   {"v": 6, "key": "<16 hex>",
 //    "outcome": {"point": {...}, "tally": {...}, "live": {...},
 //                "timeseries": {...}?, "flight": {...}?}}
 //
@@ -51,20 +51,19 @@ namespace bfly::exec {
 /// v4 added the always-present "live" schedule-application counters to the
 /// outcome, folded the fault *schedule* content hash into the key, and
 /// widened the tally's dropped array to 5 reasons (killed_by_fault); v5
-/// folded shard_count into the key (a sharded point's injection RNG
-/// decomposes per row block, so its outcome is different bits than the
-/// serial engines' for otherwise identical parameters — the two must never
-/// replay onto each other).  Older journals are skipped line-by-line on
+/// folded shard_count into the key; v6 marks the packet kernel's
+/// counter-based injection draws, which changed every saturation outcome,
+/// so no v5 record may replay.  Older journals are skipped line-by-line on
 /// load (their points simply rerun), the same degradation as a torn line.
-inline constexpr u64 kCheckpointVersion = 5;
+inline constexpr u64 kCheckpointVersion = 6;
 
 /// Content hash of `point` as 16 lowercase hex digits: FNV-1a over a
 /// version tag and every field that affects the outcome (n, offered_load
 /// bits, cycles, seed, warmup, queue capacity, telemetry budget, flight
-/// budget, shard count, routing budgets, the full fault liveness map when
-/// faults are attached, and the fault schedule's content hash when one is
-/// attached).
-/// Two points hash equal iff an engine run would be indistinguishable.
+/// budget, routing budgets, the full fault liveness map when faults are
+/// attached, and the fault schedule's content hash when one is attached),
+/// plus shard_count, which no longer affects it (see the key's body).
+/// Points that hash equal give indistinguishable engine runs.
 std::string sweep_point_key(const SweepPoint& point);
 
 /// One completed outcome as a single-line checkpoint record (no newline).

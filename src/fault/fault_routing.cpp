@@ -88,17 +88,15 @@ FaultSaturationPoint simulate_saturation_faulty(int n, double offered_load, u64 
       timeseries, frames, flight,
       obs::get_histogram("fault.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)),
       obs::get_histogram("fault.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24))};
-  // The mix cancels in the kernel's shard-0 seeding: the stream is Xoshiro256(seed).
-  const u64 stream_seed = seed ^ detail::kStreamSeedMix;
   FaultSaturationPoint out;
   detail::KernelRun run;
   if (schedule == nullptr) {
-    run = detail::run_packet_kernel<false>(n, offered_load, cycles, stream_seed,
-                                           kernel_options, faults, cancel, probes);
+    run = detail::run_packet_kernel<false>(n, offered_load, cycles, seed, kernel_options,
+                                           faults, cancel, probes);
   } else {
     LiveFaultState live(faults, *schedule);
     run = detail::run_packet_kernel<false>(
-        n, offered_load, cycles, stream_seed, kernel_options, live, cancel, probes,
+        n, offered_load, cycles, seed, kernel_options, live, cancel, probes,
         schedule->link_death_policy() == LinkDeathPolicy::kKillInFlight);
     out.live = live.stats();
   }
@@ -110,24 +108,6 @@ FaultSaturationPoint simulate_saturation_faulty(int n, double offered_load, u64 
   obs::set(obs::get_gauge("fault.throughput"), out.point.throughput);
   return out;
 }
-
-namespace {
-
-/// The sharded entry point's kernel call: the one-shard instantiation (the
-/// serial engines' loop) at shard_count 1, the hand-off one above it.
-template <typename Liveness>
-detail::KernelRun run_sharded(int n, double offered_load, u64 cycles, u64 seed,
-                              const ShardedOptions& options, Liveness& faults,
-                              const CancelToken* cancel) {
-  if (options.shard_count == 1) {
-    return detail::run_packet_kernel<false>(n, offered_load, cycles, seed, options, faults,
-                                            cancel);
-  }
-  return detail::run_packet_kernel<true>(n, offered_load, cycles, seed, options, faults,
-                                         cancel);
-}
-
-}  // namespace
 
 ShardedSaturationPoint simulate_saturation_sharded(int n, double offered_load, u64 cycles,
                                                    u64 seed, const ShardedOptions& options,
@@ -147,10 +127,12 @@ ShardedSaturationPoint simulate_saturation_sharded(int n, double offered_load, u
   BFLY_TRACE_SCOPE("routing.simulate_saturation_sharded");
   detail::KernelRun run;
   if (faults != nullptr) {
-    run = run_sharded(n, offered_load, cycles, seed, resolved, *faults, cancel);
+    run = detail::run_packet_kernel<true>(n, offered_load, cycles, seed, resolved, *faults,
+                                          cancel);
   } else {
     detail::AllAlive alive;
-    run = run_sharded(n, offered_load, cycles, seed, resolved, alive, cancel);
+    run = detail::run_packet_kernel<true>(n, offered_load, cycles, seed, resolved, alive,
+                                          cancel);
     run.out.tally = FaultTally{};  // pristine runs report no fault accounting
   }
   // Commutative counter merges only — no gauges, so concurrent sharded

@@ -327,14 +327,13 @@ std::vector<RunReport> load_report_lines(const std::string& path, std::ostream* 
 
 namespace {
 
-/// The config object minus the "threads" key: worker count is execution
-/// metadata (outcomes are thread-invariant), so it must not break
-/// comparability.  Everything else — shard_count included, since a sharded
-/// run is different bits — stays part of the identity.
+/// The config object minus the "threads" and "shard_count" keys: both are
+/// execution metadata (outcomes are invariant in them), so they must not
+/// break comparability.  Everything else stays part of the identity.
 json::Value comparable_config(const json::Value& config) {
   json::Value out = json::Value::object();
   for (const auto& [key, value] : config.members()) {
-    if (key == "threads") continue;
+    if (key == "threads" || key == "shard_count") continue;
     out.set(key, value);
   }
   return out;
@@ -588,8 +587,8 @@ std::string render_diff_markdown(const ReportDiff& diff, const Thresholds* thres
   out << "# bflyreport diff — " << diff.name << "\n\n";
   out << "runs: `" << diff.run_a << "` (" << diff.git_a << ") → `" << diff.run_b << "` ("
       << diff.git_b << ")\n";
-  // Parallelism metadata, when either side recorded it: threads is
-  // wall-clock-only context, shard_count names the engine variant.
+  // Parallelism metadata, when either side recorded it: wall-clock-only
+  // context.
   if (!diff.threads_a.empty() || !diff.threads_b.empty() || !diff.shard_count_a.empty() ||
       !diff.shard_count_b.empty()) {
     const auto arrow = [](const std::string& x, const std::string& y) {

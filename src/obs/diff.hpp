@@ -96,11 +96,10 @@ struct DiffOptions {
   /// Percentiles exported per histogram (labelled pNN in the key).
   std::vector<double> percentiles = {0.5, 0.95, 0.99};
   /// Refuse to diff reports whose `config` objects differ (recommended).
-  /// The "threads" config key is exempt: it is execution metadata — per-point
-  /// outcomes are thread-invariant, so runs differing only in worker count
-  /// are comparable (the diff surfaces both values as run metadata instead).
-  /// "shard_count" is NOT exempt: a sharded run produces different bits than
-  /// a serial one, so it stays part of the comparability identity.
+  /// The "threads" and "shard_count" config keys are exempt: they are
+  /// execution metadata — per-point outcomes are invariant in both, so runs
+  /// differing only there are comparable (the diff surfaces both values as
+  /// run metadata instead).
   bool require_matching_config = true;
 };
 
@@ -112,9 +111,9 @@ struct ReportDiff {
   std::string git_b;
   /// Parallelism run metadata pulled from each side's config: the "threads"
   /// and "shard_count" keys rendered as short labels ("auto" for threads 0,
-  /// empty when the report predates the key).  Informational only — threads
-  /// never affects outcomes, and a shard_count difference already refuses
-  /// the diff — but surfacing them answers "what ran where" at a glance.
+  /// empty when the report predates the key).  Informational only — neither
+  /// affects outcomes — but surfacing them answers "what ran where" at a
+  /// glance.
   std::string threads_a;
   std::string threads_b;
   std::string shard_count_a;

@@ -13,16 +13,21 @@
 //     const FaultSet, or LiveFaultState (a schedule is attached: the kernel
 //     advances it at every cycle boundary).  FaultSet and LiveFaultState are
 //     only named where bfly_fault instantiates the kernel.
-//   * kSharded — false runs one shard over the whole fabric with no hand-off
-//     rings, no drain phase and no per-hop "leaves the shard" test; that is
-//     the serial engines, and simulate_saturation_sharded at shard_count 1.
-//     true runs shard_count row blocks in two fork-join phases per cycle
-//     (sharded_sim.hpp describes the geometry).
+//   * kSharded — false runs one shard over the whole fabric with no
+//     hand-off rings, no drain phase and no per-hop "leaves the shard" test;
+//     that is the serial engines.  true runs shard_count row blocks in two
+//     fork-join phases per cycle (sharded_sim.hpp describes the geometry);
+//     that is simulate_saturation_sharded.  Both give the same bits.
 //
-// Shard k draws injections from Xoshiro256(seed ^ kStreamSeedMix * (k + 1)).
-// The serial wrappers pass seed ^ kStreamSeedMix, so their only shard replays
-// Xoshiro256(seed): a serial run equals the sharded run at shard_count 1
-// seeded with seed ^ kStreamSeedMix, bit for bit.
+// A run is a pure function of (n, offered_load, cycles, seed, liveness):
+// shard_count and threads set only its speed.  Three rules make it so.
+//   * Row r's injection test and destination at cycle c are CounterRng(seed)
+//     draws at (c, r), whichever shard owns r.
+//   * At every node, same-cycle arrivals enqueue in ascending upstream-link
+//     id, then the wraps, then the injection.  The serial sweep meets this
+//     by walking links in id order.  The sharded phases meet it by parking
+//     hops until phase B (see phase_a and phase_b).
+//   * The merged sums are integers, so the merge order cannot change them.
 //
 // The arena stores a packet's injection cycle as a u32, so the kernel
 // requires cycles < 2^32 before it allocates anything.
@@ -53,7 +58,7 @@
 
 namespace bfly::detail {
 
-/// Seed mix of the fixed-chunk streams: shard or census chunk i draws from
+/// Seed mix of the censuses' fixed-chunk streams: chunk i draws from
 /// Xoshiro256(seed ^ kStreamSeedMix * (i + 1)).
 inline constexpr u64 kStreamSeedMix = 0x9e3779b97f4a7c15ULL;
 
@@ -277,6 +282,7 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   const u32 misroute_budget = static_cast<u32>(std::max(options.routing.misroute_budget, 0));
   const u32 wrap_budget = static_cast<u32>(std::max(options.routing.wrap_budget, 0));
   const u64 inject_threshold = uniform_threshold(offered_load);
+  const CounterRng draws(seed);
   // Worker cap for the sharded phases (default_thread_count() is a syscall,
   // so the serial kernel never asks).
   const std::size_t threads =
@@ -294,7 +300,7 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   /// injections) and the whole-run conservation ledger (every cycle).
   struct Ledger {
     FaultTally tally;
-    double latency_sum = 0.0;
+    u64 latency_sum = 0;
     u64 measured_injections = 0;
     u64 offered = 0;
     u64 injected = 0;
@@ -302,36 +308,41 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
     u64 dropped = 0;
     u64 in_flight = 0;  ///< packets queued in this shard's arena
   };
-  /// A private arena over the shard's local link range and its injection
-  /// stream.  Shard k owns rows [k * block, (k + 1) * block).
-  struct Shard {
-    Shard(u64 links, bool with_budgets, bool with_flight, u64 stream_seed)
-        : arena(links, with_budgets, with_flight), rng(stream_seed) {}
-    PacketArena arena;
-    Xoshiro256 rng;
-    std::vector<std::pair<u64, Packet>> wrapped;  ///< (row, packet) awaiting re-entry
-    Ledger ledger;
-  };
-  std::vector<Shard> shards;
-  shards.reserve(num_shards);
-  for (u64 k = 0; k < num_shards; ++k) {
-    shards.emplace_back(local_links, !kAllAlive<Liveness>, fprobe.enabled(),
-                        seed ^ (kStreamSeedMix * (k + 1)));
-  }
-
-  /// One packet crossing a shard boundary: everything the receiving shard
-  /// needs to re-materialize it at (row, stage + 1) of the ring's stage.
+  /// One packet that phase A takes off its queue and phase B enqueues:
+  /// everything needed to re-materialize it at (row, stage + 1).
   struct Hop {
-    u64 row = 0;  ///< arrival row (global): the cross link's far end
+    u64 row = 0;  ///< arrival row (global)
     u64 dst = 0;
     u64 injected_at = 0;
     u32 misroutes = 0;
     u32 wraps = 0;
   };
-  // One SPSC ring per (source shard, crossing stage).  A shard has `block`
-  // cross links per stage and each forwards at most its front packet per
-  // cycle, so `block` slots never overflow; the drain empties every ring
-  // before the next advance phase refills it.
+  /// A private arena over the shard's local link range.  Shard k owns rows
+  /// [k * block, (k + 1) * block).
+  struct Shard {
+    Shard(u64 links, bool with_budgets, bool with_flight, int num_cross, std::size_t slots)
+        : arena(links, with_budgets, with_flight, slots),
+          parked(static_cast<std::size_t>(num_cross)) {}
+    PacketArena arena;
+    std::vector<std::pair<u64, Packet>> wrapped;  ///< (row, packet) awaiting re-entry
+    /// Straight hops held for phase B, per crossing stage, in row order.
+    std::vector<std::vector<Hop>> parked;
+    Ledger ledger;
+  };
+  std::vector<Shard> shards;
+  shards.reserve(num_shards);
+  // The arena's default 4096 initial slots, split over the shards: at 4096
+  // shards, whole arenas would preallocate a quarter GB.
+  const std::size_t initial_slots = std::max<std::size_t>(4096 / num_shards, 64);
+  for (u64 k = 0; k < num_shards; ++k) {
+    shards.emplace_back(local_links, !kAllAlive<Liveness>, fprobe.enabled(), num_cross,
+                        initial_slots);
+  }
+
+  // One SPSC ring per (source shard, crossing stage), filled in row order.
+  // A shard has `block` cross links per stage and each forwards at most its
+  // front packet per cycle, so `block` slots never overflow; phase B empties
+  // every ring before the next phase A refills it.
   std::vector<std::unique_ptr<util::SpscRing<Hop>>> rings;  // the atomics pin each ring
   if constexpr (kSharded) {
     for (u64 k = 0; k < num_shards * static_cast<u64>(num_cross); ++k) {
@@ -399,9 +410,9 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
       ++led.delivered;
       if (measured) {
         ++led.tally.delivered;
-        const double latency = static_cast<double>(cycle + 1 - pkt.injected_at);
+        const u64 latency = cycle + 1 - pkt.injected_at;
         led.latency_sum += latency;
-        if constexpr (!kSharded) latency_hist.observe(latency);
+        if constexpr (!kSharded) latency_hist.observe(static_cast<double>(latency));
       }
       if constexpr (!kSharded) {
         probe.on_delivered(cycle, pkt.injected_at);
@@ -422,18 +433,19 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   };
 
   // Phase A: advance every stage of one shard (descending, so a packet moves
-  // at most one hop per cycle), re-enter the sweep's wraps at stage 0, then
-  // inject.  Sharded runs pop cross hops at stages >= log2block into the
-  // hand-off ring.  `led` and `rng` are locals of the caller (the serial
-  // loop keeps them for the whole run, a sharded phase for one shard-cycle),
-  // never the Shard's fields, so they stay in registers through the sweep.
-  // Returns the cycle's injections.
+  // at most one hop per cycle), then re-enter the sweep's wraps at stage 0.
+  // At a stage s >= log2block, shard k pushes its cross hops into the ring
+  // read by the partner shard k ^ 2^(s - log2block).  If row bit s is set in
+  // k's rows, the cross arrival from row ^ 2^s has the lower upstream link
+  // id, so k also parks its straight hops there for phase B.  `led` is a
+  // local of the caller (the serial loop keeps it for the whole run, a
+  // sharded phase for one shard-cycle), never the Shard's field, so it stays
+  // in registers through the sweep.
   //
   // The cycle-body lambdas are forced inline: left out of line, a closure
   // escapes, and every captured scalar and ledger field then lives in
   // memory, reloaded after each arena store.
-  const auto phase_a = [&](Shard& sh, Ledger& led, Xoshiro256& rng,
-                           u64 k) BFLY_ALWAYS_INLINE -> u64 {
+  const auto phase_a = [&](Shard& sh, Ledger& led, u64 k) BFLY_ALWAYS_INLINE {
     PacketArena& arena = sh.arena;
     const u64 row0 = k * block;
     sh.wrapped.clear();
@@ -446,14 +458,16 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
         const bool cross = (link & 1) != 0;
         const u64 next_row = cross ? (row ^ pow2(s)) : row;
         if constexpr (kSharded) {
-          if (cross && s >= log2block) {
-            // The far end is another shard's row: hand the packet off.  The
-            // receiving shard makes the arrival decision in phase B.
+          if (s >= log2block && (cross || ((row >> s) & 1) != 0)) {
             const Packet pkt = arena.pop(link);
             --led.in_flight;
-            const bool pushed = ring_of(k, s).try_push(
-                {next_row, pkt.dst, pkt.injected_at, pkt.misroutes, pkt.wraps});
-            BFLY_CHECK(pushed, "sharded hand-off ring overflow");
+            const Hop hop{next_row, pkt.dst, pkt.injected_at, pkt.misroutes, pkt.wraps};
+            if (cross) {
+              const bool pushed = ring_of(k, s).try_push(hop);
+              BFLY_CHECK(pushed, "sharded hand-off ring overflow");
+            } else {
+              sh.parked[static_cast<std::size_t>(s - log2block)].push_back(hop);
+            }
             return;
           }
         }
@@ -487,22 +501,27 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
     for (const auto& [row, pkt] : sh.wrapped) {
       if (!enqueue(sh, led, row0, row, 0, pkt, obs::FlightEvent::kWrap)) --led.in_flight;
     }
+  };
+
+  // The cycle's last step at every row: the injection test and destination
+  // are the (cycle, row) draws.  Returns the cycle's injections.
+  const auto inject = [&](Shard& sh, Ledger& led, u64 k) BFLY_ALWAYS_INLINE -> u64 {
+    const u64 row0 = k * block;
     u64 cycle_injections = 0;
     for (u64 row = row0; row < row0 + block; ++row) {
-      if (rng.uniform_below(inject_threshold)) {
-        ++led.offered;
-        Packet pkt{rng.below(rows), cycle, 0, 0, 0};
-        // Sampled before the endpoint check, so the packet-id stream is the
-        // same for every liveness.
-        if constexpr (!kSharded) pkt.flight = fprobe.on_packet(cycle, row, pkt.dst);
-        if (!faults.node_alive(row, 0) || !faults.node_alive(pkt.dst, n)) {
-          count_drop(led, DropReason::kEndpointDead, pkt.flight);
-          continue;
-        }
-        if (enqueue(sh, led, row0, row, 0, pkt, obs::FlightEvent::kInject)) {
-          ++cycle_injections;
-          if (measured) ++led.measured_injections;
-        }
+      if (!draws.uniform_below(cycle, row, inject_threshold)) continue;
+      ++led.offered;
+      Packet pkt{draws.below_pow2(cycle, row, rows), cycle, 0, 0, 0};
+      // Sampled before the endpoint check, so the packet-id stream is the
+      // same for every liveness.
+      if constexpr (!kSharded) pkt.flight = fprobe.on_packet(cycle, row, pkt.dst);
+      if (!faults.node_alive(row, 0) || !faults.node_alive(pkt.dst, n)) {
+        count_drop(led, DropReason::kEndpointDead, pkt.flight);
+        continue;
+      }
+      if (enqueue(sh, led, row0, row, 0, pkt, obs::FlightEvent::kInject)) {
+        ++cycle_injections;
+        if (measured) ++led.measured_injections;
       }
     }
     led.injected += cycle_injections;
@@ -510,33 +529,44 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
     return cycle_injections;
   };
 
-  // Phase B (sharded only): drain shard k's inbound rings in fixed (stage
-  // ascending, FIFO) order.  Every producer finished in phase A, so the
-  // drain sees the cycle's complete hand-offs.  An arrival counts in flight
-  // until it is enqueued at stage s + 1 or meets its terminal decision; a
-  // wrap decided here re-enters at once.
+  // Phase B (sharded only): for each crossing stage in ascending order, drain
+  // the partner's ring merged with shard k's parked hops by row, the cross
+  // hop first at a shared row, then inject.  Every producer finished in
+  // phase A, so the drain sees the cycle's complete hand-offs.  A hop counts
+  // in flight until it is enqueued at stage s + 1 or meets its terminal
+  // decision; a wrap decided here re-enters at once.
   const auto phase_b = [&](Shard& sh, u64 k) {
     const u64 row0 = k * block;
+    Ledger led = sh.ledger;
+    const auto take = [&](const Hop& hop, int s) BFLY_ALWAYS_INLINE {
+      Packet pkt{hop.dst, hop.injected_at, hop.misroutes, hop.wraps, 0};
+      ++led.in_flight;
+      if (s + 1 == n && !arrive(led, hop.row, pkt)) return;
+      const int stage = s + 1 == n ? 0 : s + 1;  // a wrap re-enters at stage 0
+      if (!enqueue(sh, led, row0, hop.row, stage, pkt, obs::FlightEvent::kAdvance)) {
+        --led.in_flight;
+      }
+    };
     for (int s = log2block; s < n; ++s) {
       util::SpscRing<Hop>& ring = ring_of(k ^ (u64{1} << (s - log2block)), s);
+      std::vector<Hop>& parked = sh.parked[static_cast<std::size_t>(s - log2block)];
       Hop hop;
-      while (ring.try_pop(&hop)) {
-        Packet pkt{hop.dst, hop.injected_at, hop.misroutes, hop.wraps, 0};
-        ++sh.ledger.in_flight;
-        if (s + 1 == n && !arrive(sh.ledger, hop.row, pkt)) continue;
-        const int stage = s + 1 == n ? 0 : s + 1;  // a wrap re-enters at stage 0
-        if (!enqueue(sh, sh.ledger, row0, hop.row, stage, pkt, obs::FlightEvent::kAdvance)) {
-          --sh.ledger.in_flight;
-        }
+      bool have = ring.try_pop(&hop);
+      for (const Hop& held : parked) {
+        for (; have && hop.row <= held.row; have = ring.try_pop(&hop)) take(hop, s);
+        take(held, s);
       }
+      for (; have; have = ring.try_pop(&hop)) take(hop, s);
+      parked.clear();
     }
+    inject(sh, led, k);
+    sh.ledger = led;
   };
 
   // Cancellation is polled only at the cycle boundary, so a cancelled run
   // stops with every shard at the same cycle and the ledger exact.
   std::vector<u64> newly_dead;  // links a live schedule killed this cycle
-  Ledger serial_ledger;  // the serial shard's ledger and stream (see phase A)
-  Xoshiro256 serial_rng = shards[0].rng;
+  Ledger serial_ledger;         // the serial shard's ledger (see phase A)
   u64 simulated = cycles;
   for (cycle = 0; cycle < cycles; ++cycle) {
     if (cycle % kCancelPollCycles == 0 && CancelToken::cancelled(cancel)) {
@@ -555,10 +585,8 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
       };
       each_shard([&](Shard& sh, u64 k) {
         Ledger led = sh.ledger;
-        Xoshiro256 rng = sh.rng;
-        phase_a(sh, led, rng, k);
+        phase_a(sh, led, k);
         sh.ledger = led;
-        sh.rng = rng;
       });
       each_shard(phase_b);
     } else {
@@ -579,7 +607,8 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
           }
         }
       }
-      const u64 cycle_injections = phase_a(sh, serial_ledger, serial_rng, 0);
+      phase_a(sh, serial_ledger, 0);
+      const u64 cycle_injections = inject(sh, serial_ledger, 0);
       depth_hist.observe(static_cast<double>(serial_ledger.in_flight));
       probe.on_injected(cycle_injections);
       probe.sample(cycle, sh.arena, serial_ledger.in_flight, faults.num_dead_links());
@@ -589,14 +618,13 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   latency_hist.flush();
   depth_hist.flush();
 
-  // Merge in shard order (the double sums too), so the result does not
-  // depend on which thread ran which shard.
+  // Merge in shard order; every sum is an integer.
   KernelRun run;
   ShardedSaturationPoint& out = run.out;
   SaturationPoint& result = out.point;
   out.shard_count = num_shards;
   result.offered_load = offered_load;
-  double total_latency = 0.0;
+  u64 total_latency = 0;
   for (const Shard& sh : shards) {
     const Ledger& led = sh.ledger;
     add_tally(out.tally, led.tally);
@@ -624,7 +652,9 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
           : 0.0;
   result.per_node_injection = result.throughput / static_cast<double>(n + 1);
   result.avg_latency =
-      result.delivered > 0 ? total_latency / static_cast<double>(result.delivered) : 0.0;
+      result.delivered > 0
+          ? static_cast<double>(total_latency) / static_cast<double>(result.delivered)
+          : 0.0;
   return run;
 }
 

@@ -129,9 +129,8 @@ SaturationPoint simulate_saturation(int n, double offered_load, u64 cycles, u64 
       obs::get_histogram("routing.latency_cycles", obs::Histogram::exponential_bounds(1, 2, 16)),
       obs::get_histogram("routing.queue_depth", obs::Histogram::exponential_bounds(1, 2, 24))};
   detail::AllAlive alive;
-  // The mix cancels in the kernel's shard-0 seeding: the stream is Xoshiro256(seed).
   const detail::KernelRun run = detail::run_packet_kernel<false>(
-      n, offered_load, cycles, seed ^ detail::kStreamSeedMix, options, alive, cancel, probes);
+      n, offered_load, cycles, seed, options, alive, cancel, probes);
   const SaturationPoint& result = run.out.point;
   obs::add(obs::get_counter("routing.injected"), run.measured_injections);
   obs::add(obs::get_counter("routing.delivered"), result.delivered);

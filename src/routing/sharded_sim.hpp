@@ -13,37 +13,30 @@
 // packet leaves its shard only when 2^s >= block — the low log2(block)
 // stages are entirely shard-local, and exactly log2(shard_count) stages
 // cross.  Cross hops travel through preallocated SPSC hand-off rings
-// (util/spsc_ring.hpp), one per (source shard, crossing stage), drained at a
-// deterministic barrier in fixed (stage, source) order by the receiving
-// shard — which also makes the arrival's routing decision (next output link,
-// or the terminal deliver/wrap/drop call), since that decision needs the
-// destination row's queue and liveness state.
+// (util/spsc_ring.hpp), one per (source shard, crossing stage), drained
+// after a barrier by the receiving shard — which also makes the arrival's
+// routing decision (next output link, or the terminal deliver/wrap/drop
+// call), since that decision needs the destination row's queue and liveness
+// state.
 //
-// Determinism contract.  Injection uses the repo's fixed-chunk seeding
-// pattern: shard k draws from its own Xoshiro256 stream seeded by
-// seed ^ 0x9e3779b97f4a7c15 * (k + 1), exactly like the census's per-chunk
-// streams; per-shard statistics merge in shard order, and the two
-// intra-cycle phases are fork-join barriers with a fixed drain order.  The
-// result is therefore a pure function of (n, offered_load, cycles, seed,
-// shard_count), bitwise invariant across thread counts
-// (tests/test_sharded_sim.cpp proves threads in {1, 2, 4, hardware}
-// identical).  At shard_count 1 the engine IS the serial engine: all three
-// run one kernel (routing/packet_kernel.hpp), and
-// simulate_saturation_sharded(n, load, cycles, seed ^ 0x9e3779b97f4a7c15,
-// {shard_count 1}) equals simulate_saturation / simulate_saturation_faulty
-// with `seed`, bit for bit.  At larger shard counts the injection RNG
-// decomposes per row block and the results differ from the serial engines';
-// they agree statistically, and every run conserves packets exactly (every
-// offered packet is delivered, dropped, or still in flight at the end).
-// Making results independent of the shard count (a counter-based injection
-// RNG and a canonical arrival order) is future work.
+// Determinism contract.  A run is a pure function of (n, offered_load,
+// cycles, seed, faults): shard_count and threads set only its speed, and
+// every shard count equals simulate_saturation / simulate_saturation_faulty
+// with the same seed, bit for bit (tests/test_sharded_sim.cpp checks every
+// shard count up to 2^n at n = 3 and 6).  Row r's injection test and
+// destination at cycle c are CounterRng(seed) draws at (c, r); at each node
+// the cycle's arrivals enqueue in ascending upstream-link id, then wraps,
+// then the injection, as the serial sweep does (packet_kernel.hpp says how
+// the phases keep that order); and the per-shard sums merge as integers.
+// Every run conserves packets exactly (every offered packet is delivered,
+// dropped, or still in flight at the end).
 //
 // Scope.  Pristine and static-FaultSet runs (budgeted deflection routing
 // with the same policy as fault/fault_routing.hpp).  Probes (telemetry,
-// occupancy frames, flight traces) and live FaultSchedules run at
-// shard_count 1 only, through the serial entry points: sweep points that
-// request them fall back to those (docs/performance.md, "The sharded
-// engine").  The registry sees only commutative counter merges
+// occupancy frames, flight traces) and live FaultSchedules run only
+// through the serial entry points: sweep points that request them run
+// there, with the same bits (docs/performance.md, "The
+// sharded engine").  The registry sees only commutative counter merges
 // (sharded.offered / injected / delivered / dropped), never gauges, so
 // concurrent sharded points in one sweep stay report-deterministic.
 //
@@ -62,11 +55,10 @@ class FaultSet;
 
 struct ShardedOptions {
   /// Power-of-two number of row blocks, <= 2^n.  0 picks the fixed default
-  /// min(2^n, 8) — machine-independent, so a defaulted run is still a pure
-  /// function of its parameters.
+  /// min(2^n, 8).  Never affects results, only wall-clock.
   u64 shard_count = 0;
-  /// Worker cap for the per-cycle phases (0 = default_thread_count()).  Never
-  /// affects results, only wall-clock.
+  /// Worker cap for the per-cycle phases (0 = default_thread_count()).  Like
+  /// shard_count, never affects results, only wall-clock.
   std::size_t threads = 0;
   u64 warmup_cycles = 0;
   u64 queue_capacity = 0;  ///< 0 = unbounded per-link FIFOs

@@ -198,8 +198,12 @@ std::string request_key(const Request& request) {
   BFLY_REQUIRE(request.is_compute(), "control ops have no content key");
   if (request.op == Op::kSweep) {
     // Shared derivation with the checkpoint layer: a served sweep point and a
-    // checkpointed one with the same parameters answer to the same 16 hex.
-    return exec::sweep_point_key(to_sweep_point(request));
+    // serial checkpointed one with the same parameters answer to the same 16
+    // hex.  shard_count sets only the speed, so frames that differ only
+    // there share one cache entry.
+    SweepPoint point = to_sweep_point(request);
+    point.shard_count = 0;
+    return exec::sweep_point_key(point);
   }
   util::Fnv1a64 h;
   h.update(std::string_view(to_string(request.op)));

@@ -104,7 +104,7 @@ struct Request {
   u64 cycles = 0;               ///< sweep
   u64 warmup_cycles = 0;        ///< sweep
   u64 queue_capacity = 0;       ///< sweep
-  u64 shard_count = 0;          ///< sweep (0 = serial engine)
+  u64 shard_count = 0;          ///< sweep (0 = serial engine); speed only, not in the key
 
   bool is_compute() const { return op != Op::kPing && op != Op::kStats; }
 };
@@ -131,9 +131,10 @@ Request parse_request_line(std::string_view line);
 /// Content hash of a compute request as 16 lowercase hex digits: FNV-1a64
 /// over the op tag and every parameter that affects the result — and nothing
 /// else (id, deadline_ms, and no_cache are delivery metadata).  Sweep
-/// requests hash through exec::sweep_point_key, so a served sweep point and
-/// a checkpointed sweep point with the same parameters carry the same key.
-/// Two requests key equal iff their results are byte-identical.
+/// requests hash through exec::sweep_point_key with shard_count zeroed (it
+/// sets only the speed), so a served sweep point and a serial checkpointed
+/// sweep point with the same parameters carry the same key.  Two requests
+/// key equal iff their results are byte-identical.
 std::string request_key(const Request& request);
 
 /// The SweepPoint a kSweep request describes (already validated).

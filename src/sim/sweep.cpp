@@ -53,10 +53,9 @@ obs::FlightRecorder make_flight_recorder(const SweepPoint& point) {
 SweepOutcome run_sweep_point(const SweepPoint& p, const CancelToken* cancel,
                              obs::TimeSeries* timeseries, obs::FlightRecorder* flight) {
   SweepOutcome outcome;
-  // Sharded eligibility: probes and live schedules run in the packet kernel
-  // at shard_count 1 only, so any of those sends the point to the serial
-  // entry points (documented fallback — the outcome then matches the
-  // shard_count == 0 point bitwise).
+  // shard_count picks the sharded kernel, which gives the serial bits;
+  // probes and live schedules run in the serial kernel only, so points that
+  // ask for them take the serial entry points.
   const bool sharded = p.shard_count > 0 && p.telemetry_budget == 0 &&
                        p.flight_budget == 0 && p.schedule == nullptr;
   if (sharded) {

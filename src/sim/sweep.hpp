@@ -55,14 +55,11 @@ struct SweepPoint {
   const FaultSchedule* schedule = nullptr;
   /// Power-of-two shard count for the cycle-parallel engine
   /// (routing/sharded_sim.hpp); 0 (the default) keeps the serial engines.
-  /// A sharded point's outcome is a pure function of
-  /// (n, offered_load, cycles, seed, shard_count) — *different* bits than
-  /// the serial engines produce for the same parameters, so shard_count
-  /// joins the checkpoint identity (exec::sweep_point_key hashes it; v5
-  /// journal).  Points that also request telemetry, flight tracing, or a
-  /// live schedule fall back to the serial engines (the probes are not
-  /// wired into the sharded engine yet): their outcomes equal the
-  /// shard_count == 0 outcome bitwise, under a distinct checkpoint key.
+  /// It sets only the speed: the outcome equals the shard_count == 0
+  /// outcome bit for bit.  Points that also request telemetry, flight
+  /// tracing, or a live schedule run on the serial engines (the probes are
+  /// not wired into the sharded engine yet).  exec::sweep_point_key still
+  /// hashes it (exec/checkpoint.cpp says why).
   u64 shard_count = 0;
 };
 

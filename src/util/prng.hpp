@@ -1,13 +1,15 @@
 // Deterministic pseudo-random number generation for simulations.
 //
-// SplitMix64 seeds Xoshiro256**; both are tiny, fast, and reproducible across
-// platforms (unlike std::mt19937 + std::uniform_int_distribution, whose
-// distribution output is implementation-defined).
+// SplitMix64 seeds Xoshiro256** and, as CounterRng, gives draws addressed by
+// (cycle, row); all are tiny, fast, and reproducible across platforms
+// (unlike std::mt19937 + std::uniform_int_distribution, whose distribution
+// output is implementation-defined).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace bfly {
@@ -72,12 +74,6 @@ class Xoshiro256 {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
   }
 
-  /// `uniform() < p` without the double, for threshold = uniform_threshold(p):
-  /// the same decision on every draw.
-  constexpr bool uniform_below(std::uint64_t threshold) {
-    return ((*this)() >> 11) < threshold;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
@@ -86,7 +82,42 @@ class Xoshiro256 {
   std::array<std::uint64_t, 4> state_;
 };
 
-/// The integer threshold of Xoshiro256::uniform_below.  uniform() is
+/// Counter-based draws: the value at address (cycle, row) in lane 0 or 1 is
+/// SplitMix64's output for counter cycle * 2^32 + row of a stream whose start
+/// the seed and lane pick.  A draw depends on nothing but (seed, cycle, row,
+/// lane), so any split of the rows, visited in any order, sees the same
+/// numbers.  For one seed and lane, distinct addresses give distinct draws:
+/// the counter map and SplitMix64's mix are both bijections of u64.  Cycles
+/// and rows must be below 2^32.
+class CounterRng {
+ public:
+  // Lane 1 starts from a draw of lane 0's start, not from the next output of
+  // the seed's stream: that one is lane 0's start for seed + 2^64 / phi.
+  explicit constexpr CounterRng(std::uint64_t seed)
+      : base_{SplitMix64(seed).next(), SplitMix64(SplitMix64(seed).next()).next()} {}
+
+  constexpr std::uint64_t draw(std::uint64_t cycle, std::uint64_t row, std::size_t lane) const {
+    return SplitMix64(base_[lane] + ((cycle << 32) + row) * 0x9e3779b97f4a7c15ULL).next();
+  }
+
+  /// Lane 0's draw as uniform() < p without the double, for threshold =
+  /// uniform_threshold(p): the same decision on every draw.
+  constexpr bool uniform_below(std::uint64_t cycle, std::uint64_t row,
+                               std::uint64_t threshold) const {
+    return (draw(cycle, row, 0) >> 11) < threshold;
+  }
+
+  /// Lane 1's draw masked to [0, bound), for a power-of-two bound.
+  constexpr std::uint64_t below_pow2(std::uint64_t cycle, std::uint64_t row,
+                                     std::uint64_t bound) const {
+    return draw(cycle, row, 1) & (bound - 1);
+  }
+
+ private:
+  std::array<std::uint64_t, 2> base_;
+};
+
+/// The integer threshold of CounterRng::uniform_below.  uniform() is
 /// m * 2^-53 for the 53-bit m = draw >> 11, and both m * 2^-53 and p * 2^53
 /// are exact in double, so uniform() < p exactly when m < ceil(p * 2^53).
 /// p >= 1 admits every m; p <= 0 and NaN admit none.

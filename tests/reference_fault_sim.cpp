@@ -32,7 +32,7 @@ FaultSaturationPoint simulate_saturation_faulty_reference(
     u32 wraps;
   };
   std::vector<std::deque<Packet>> queues(static_cast<std::size_t>(n) * rows * 2);
-  Xoshiro256 rng(seed);
+  const CounterRng rng(seed);
 
   FaultSaturationPoint out;
   SaturationPoint& result = out.point;
@@ -121,8 +121,8 @@ FaultSaturationPoint simulate_saturation_faulty_reference(
     // Inject.
     u64 cycle_injections = 0;
     for (u64 row = 0; row < rows; ++row) {
-      if (rng.uniform() < offered_load) {
-        const Packet pkt{rng.below(rows), cycle, 0, 0};
+      if (static_cast<double>(rng.draw(cycle, row, 0) >> 11) * 0x1.0p-53 < offered_load) {
+        const Packet pkt{rng.draw(cycle, row, 1) % rows, cycle, 0, 0};
         if (!faults.node_alive(row, 0) || !faults.node_alive(pkt.dst, n)) {
           count_drop(DropReason::kEndpointDead, measured);
           continue;

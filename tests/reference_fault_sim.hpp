@@ -1,13 +1,16 @@
 // The seed deque-based faulty saturation simulator, kept verbatim (minus obs
-// instrumentation, which never influenced the returned statistics) as the
-// determinism oracle for the arena engine: simulate_saturation_faulty() must
+// instrumentation, which never influenced the returned statistics, and with
+// its injection draws ported from the sequential Xoshiro256 stream to the
+// engines' CounterRng, spelled as uniform()'s double compare and a modulo)
+// as the determinism oracle for the arena engine: simulate_saturation_faulty() must
 // reproduce simulate_saturation_faulty_reference() bit for bit — every
 // SaturationPoint and FaultTally field, for every (seed, load, FaultSet,
 // budgets, queue_capacity) — which tests/test_fault.cpp asserts across seeds
 // and fault rates.  A test-only target (bfly_test_oracles) builds it; no
 // library ships it.
 //
-// Do not "improve" this file: its value is that it does not change.
+// Do not "improve" this file: its value is that it does not change beyond
+// what the engines' draws require.
 #pragma once
 
 #include "fault/fault_routing.hpp"

@@ -20,7 +20,7 @@ SaturationPoint simulate_saturation_reference(int n, double offered_load, u64 cy
   };
   // One FIFO per forward link.
   std::vector<std::deque<Packet>> queues(static_cast<std::size_t>(n) * rows * 2);
-  Xoshiro256 rng(seed);
+  const CounterRng rng(seed);
 
   SaturationPoint result;
   result.offered_load = offered_load;
@@ -66,8 +66,8 @@ SaturationPoint simulate_saturation_reference(int n, double offered_load, u64 cy
     // Inject.
     u64 cycle_injections = 0;
     for (u64 row = 0; row < rows; ++row) {
-      if (rng.uniform() < offered_load) {
-        if (enqueue(row, 0, Packet{rng.below(rows), cycle}, measured)) {
+      if (static_cast<double>(rng.draw(cycle, row, 0) >> 11) * 0x1.0p-53 < offered_load) {
+        if (enqueue(row, 0, Packet{rng.draw(cycle, row, 1) % rows, cycle}, measured)) {
           ++cycle_injections;
         }
       }

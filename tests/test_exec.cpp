@@ -213,6 +213,39 @@ TEST(Checkpoint, TornAndCorruptLinesAreSkipped) {
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, V5RecordIsSkippedAndItsPointReruns) {
+  // A v5 record holds an outcome of the engines before the counter-based
+  // injection draws.  Even under the point's current key, it must not
+  // replay: the loader skips it and the sweep computes the point afresh.
+  const TestGrid grid;
+  const SweepPoint& p = grid.points[0];
+  const std::vector<SweepOutcome> fresh = saturation_sweep(std::vector<SweepPoint>{p}, 1);
+  SweepOutcome stale = fresh[0];
+  stale.point.delivered += 1;
+  std::string line = exec::encode_checkpoint_line(exec::sweep_point_key(p), stale);
+  const std::string v6 = "\"v\":6";
+  const std::size_t at = line.find(v6);
+  ASSERT_NE(at, std::string::npos) << line;
+  line.replace(at, v6.size(), "\"v\":5");
+  const std::string path = temp_path("ckpt_v5.ckpt");
+  write_lines(path, {line});
+
+  const exec::CheckpointLoad load = exec::load_checkpoint(path);
+  EXPECT_EQ(load.lines_read, 1u);
+  EXPECT_EQ(load.lines_skipped, 1u);
+  EXPECT_TRUE(load.outcomes.empty());
+
+  exec::SweepRunOptions opt;
+  opt.threads = 1;
+  opt.checkpoint_path = path;
+  const exec::SweepRun run = exec::run_sweep_resumable(std::vector<SweepPoint>{p}, opt);
+  EXPECT_TRUE(run.complete());
+  EXPECT_EQ(run.num_replayed, 0u);
+  ASSERT_EQ(run.outcomes.size(), 1u);
+  expect_outcome_eq(run.outcomes[0], fresh[0]);
+  std::remove(path.c_str());
+}
+
 TEST(Exec, CleanRunMatchesPlainSweepForAnyPoolSize) {
   const TestGrid grid;
   const std::vector<SweepOutcome> plain = saturation_sweep(grid.points, 1);

@@ -339,19 +339,22 @@ TEST(DiffReportsTest, ThreadsConfigIsRunMetadataNotIdentity) {
   EXPECT_NE(md.find("threads auto → 4"), std::string::npos);
 }
 
-TEST(DiffReportsTest, ShardCountConfigStaysPartOfTheIdentity) {
-  // A sharded run produces different bits than a serial one, so a
-  // shard_count difference is a real config mismatch and must refuse.
+TEST(DiffReportsTest, ShardCountConfigIsRunMetadataNotIdentity) {
+  // shard_count sets only the speed of a packet-kernel run, so two runs
+  // differing only there diff cleanly, and the header labels both values.
   const RunReport a = RunReport::parse(
       report_text(1, 1, 1, "[2, 3, 5, 0]", "10", R"({"n": 6, "shard_count": 8})"));
   const RunReport b = RunReport::parse(
       report_text(1, 1, 1, "[2, 3, 5, 0]", "10", R"({"n": 6, "shard_count": 4})"));
-  EXPECT_THROW(diff_reports(a, b), InvalidArgument);
-  // Equal shard counts are comparable and get labelled.
-  const ReportDiff diff = diff_reports(a, a);
+  ReportDiff diff;
+  ASSERT_NO_THROW(diff = diff_reports(a, b));
   EXPECT_EQ(diff.shard_count_a, "8");
-  EXPECT_EQ(diff.shard_count_b, "8");
-  EXPECT_NE(render_diff_markdown(diff).find("shard_count 8"), std::string::npos);
+  EXPECT_EQ(diff.shard_count_b, "4");
+  EXPECT_NE(render_diff_markdown(diff).find("shard_count 8 → 4"), std::string::npos);
+  // Any other config difference still refuses.
+  const RunReport c = RunReport::parse(
+      report_text(1, 1, 1, "[2, 3, 5, 0]", "10", R"({"n": 7, "shard_count": 4})"));
+  EXPECT_THROW(diff_reports(a, c), InvalidArgument);
 }
 
 TEST(DiffReportsTest, ReportsKeysPresentOnOneSideOnly) {

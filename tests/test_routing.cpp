@@ -176,7 +176,7 @@ TEST(Saturation, BoundedQueuesDropAndStayBounded) {
 
 TEST(Saturation, ArenaMatchesReferenceBitwise) {
   // The tentpole contract of the flat-arena engine: identical FIFO semantics,
-  // RNG stream, and accumulation order as the seed deque simulator, so every
+  // injection draws, and accumulation order as the seed deque simulator, so every
   // SaturationPoint field matches bit for bit — across seeds, loads, and both
   // unbounded and bounded-queue modes.
   for (const u64 seed : {u64{3}, u64{9}, u64{2026}}) {

@@ -146,6 +146,12 @@ TEST(ServeProtocol, SweepKeysMatchCheckpointKeys) {
   const Request r = parse_request_line(
       R"({"op":"sweep","n":6,"offered_load":0.7,"cycles":500,"seed":11})");
   EXPECT_EQ(request_key(r), exec::sweep_point_key(to_sweep_point(r)));
+  // shard_count is speed, not content: the sharded frame keys as the serial
+  // one, and its result is the same bits.
+  const Request sharded = parse_request_line(
+      R"({"op":"sweep","n":6,"offered_load":0.7,"cycles":500,"seed":11,"shard_count":4})");
+  EXPECT_EQ(request_key(sharded), request_key(r));
+  EXPECT_EQ(execute_request(sharded, nullptr).dump(), execute_request(r, nullptr).dump());
 }
 
 TEST(ServeProtocol, ExecuteIsDeterministicAndCancellable) {
@@ -510,6 +516,31 @@ TEST(ServeServer, CacheHitsAreBitIdenticalToColdComputes) {
   ASSERT_NE(pos, std::string::npos);
   cold.replace(pos, 14, "\"cached\":true");
   EXPECT_EQ(cold, lines[1]);
+
+  const LedgerSnapshot ledger = server.drain(1000);
+  EXPECT_EQ(ledger.cache_hits, 1u);
+  EXPECT_EQ(ledger.cache_misses, 1u);
+  EXPECT_TRUE(ledger.conserved());
+}
+
+TEST(ServeServer, SweepFramesDifferingOnlyInShardCountShareOneCacheEntry) {
+  // shard_count sets only the speed of a sweep, so a sharded frame is
+  // answered from the serial frame's cache entry, with the same result.
+  Server server(small_server());
+  ResponseBin bin;
+  server.submit_frame(R"({"op":"sweep","id":"a","n":6,"offered_load":0.7,"cycles":300,"seed":4})",
+                      bin.callback());
+  bin.wait_for(1);
+  server.submit_frame(
+      R"({"op":"sweep","id":"b","n":6,"offered_load":0.7,"cycles":300,"seed":4,"shard_count":8})",
+      bin.callback());
+  const auto lines = bin.wait_for(2);
+  const Value serial = Value::parse(lines[0]);
+  const Value sharded = Value::parse(lines[1]);
+  EXPECT_FALSE(serial.at("cached").as_bool());
+  EXPECT_TRUE(sharded.at("cached").as_bool());
+  EXPECT_EQ(serial.at("key").as_string(), sharded.at("key").as_string());
+  EXPECT_EQ(serial.at("result").dump(), sharded.at("result").dump());
 
   const LedgerSnapshot ledger = server.drain(1000);
   EXPECT_EQ(ledger.cache_hits, 1u);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -159,7 +160,7 @@ TEST(Prng, BelowPowerOfTwoMatchesTheRejectionPath) {
 }
 
 TEST(Prng, UniformThresholdAgreesWithTheDoubleComparison) {
-  // uniform_below(uniform_threshold(p)) must decide exactly as
+  // draw >> 11 < uniform_threshold(p) must decide exactly as
   // uniform() < p: at the boundary draws m = T - 1 and m = T (m being the
   // 53-bit draw >> 11), and on random draws.
   const double eps = 0x1.0p-53;
@@ -176,11 +177,71 @@ TEST(Prng, UniformThresholdAgreesWithTheDoubleComparison) {
     }
     Xoshiro256 a(static_cast<u64>(p * 1000) + 3);
     Xoshiro256 b = a;
-    for (int i = 0; i < 20000; ++i) ASSERT_EQ(a.uniform_below(t), b.uniform() < p);
+    for (int i = 0; i < 20000; ++i) ASSERT_EQ((a() >> 11) < t, b.uniform() < p);
   }
   EXPECT_EQ(uniform_threshold(0.0), 0u);
   EXPECT_EQ(uniform_threshold(eps), 1u);
   EXPECT_EQ(uniform_threshold(1.0), u64{1} << 53);
+}
+
+TEST(Prng, CounterDrawsAreDistinctPerSeedCycleAndRow) {
+  // Each (seed, cycle, row, lane) names its own draw: no two addresses of a
+  // grid collide, including cycles and rows at the top of their u32 range.
+  std::set<u64> seen;
+  std::size_t drawn = 0;
+  for (const u64 seed : {u64{0}, u64{1}, u64{2}, u64{0x9e3779b97f4a7c15}}) {
+    const CounterRng rng(seed);
+    for (const u64 cycle : {u64{0}, u64{1}, u64{2}, u64{63}, (u64{1} << 32) - 1}) {
+      for (u64 row = 0; row < 64; ++row) {
+        for (const u64 r : {row, (u64{1} << 32) - 1 - row}) {
+          for (const std::size_t lane : {std::size_t{0}, std::size_t{1}}) {
+            seen.insert(rng.draw(cycle, r, lane));
+            ++drawn;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), drawn);
+  // A draw is a pure function of its address: a second generator agrees.
+  EXPECT_EQ(CounterRng(5).draw(17, 3, 1), CounterRng(5).draw(17, 3, 1));
+}
+
+TEST(Prng, CounterInjectionTestAgreesWithUniformThreshold) {
+  const CounterRng rng(2026);
+  for (const double p : {0.0, 0x1.0p-53, 0.1, 0.5, 0.9, 1.0}) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const u64 t = uniform_threshold(p);
+    u64 admitted = 0;
+    for (u64 cycle = 0; cycle < 40; ++cycle) {
+      for (u64 row = 0; row < 256; ++row) {
+        const double u = static_cast<double>(rng.draw(cycle, row, 0) >> 11) * 0x1.0p-53;
+        ASSERT_EQ(rng.uniform_below(cycle, row, t), u < p);
+        admitted += u < p ? 1 : 0;
+      }
+    }
+    if (p == 0.5) {
+      EXPECT_NEAR(static_cast<double>(admitted) / (40.0 * 256.0), 0.5, 0.03);
+    }
+  }
+}
+
+TEST(Prng, CounterDestinationIsAPowerOfTwoMask) {
+  // below_pow2 keeps the low bits of lane 1's draw: in range, and nested, so
+  // B_k's destination is the low k bits of B_{k+1}'s.
+  const CounterRng rng(99);
+  for (u64 cycle = 0; cycle < 8; ++cycle) {
+    for (u64 row = 0; row < 64; ++row) {
+      const u64 raw = rng.draw(cycle, row, 1);
+      for (int k = 0; k <= 32; ++k) {
+        const u64 dst = rng.below_pow2(cycle, row, pow2(k));
+        ASSERT_LT(dst, pow2(k));
+        ASSERT_EQ(dst, raw % pow2(k));
+      }
+    }
+  }
+  // The destination lane is not the injection lane.
+  EXPECT_NE(rng.draw(0, 0, 0), rng.draw(0, 0, 1));
 }
 
 TEST(Parallel, SumsMatchSerial) {
