@@ -315,7 +315,7 @@ i64 ButterflyLayoutPlan::col_track_x(u64 grid_col, u64 logical_track, int* h_lay
   return static_cast<i64>(grid_col) * cell_width_ + block_width_ + static_cast<i64>(position);
 }
 
-void ButterflyLayoutPlan::for_each_node(const std::function<void(u64, Rect)>& fn) const {
+void ButterflyLayoutPlan::for_each_node(NodeSink fn) const {
   const u64 rows = sb_.rows();
   for (int s = 0; s <= n_; ++s) {
     for (u64 u = 0; u < rows; ++u) {
@@ -326,8 +326,7 @@ void ButterflyLayoutPlan::for_each_node(const std::function<void(u64, Rect)>& fn
   }
 }
 
-void ButterflyLayoutPlan::emit_exchange_wire(u64 u, int s, int kind,
-                                             const std::function<void(Wire&&)>& fn) const {
+void ButterflyLayoutPlan::emit_exchange_wire(u64 u, int s, int kind, WireSink fn) const {
   const int level = sb_.level_of_transition(s);
   const int j = s - sb_.prefix(level - 1);
   const u64 w = kind == 0 ? u : (u ^ pow2(j));
@@ -354,7 +353,7 @@ void ButterflyLayoutPlan::emit_exchange_wire(u64 u, int s, int kind,
          .to_y(to_y, lp.v)
          .to_x(to_x, lp.h)
          .to(sb_.node_id(w, s + 1))
-         .build());
+         .wire());
 }
 
 i64 ButterflyLayoutPlan::swap_channel_slot(int level, bool out, u64 row, int kind) const {
@@ -388,8 +387,7 @@ u64 ButterflyLayoutPlan::boundary_replica(int level, u64 u, int kind) const {
   return (pos_a < pos_b) ? side_index : side_count + side_index;
 }
 
-void ButterflyLayoutPlan::emit_level2_wire(u64 u, int kind,
-                                           const std::function<void(Wire&&)>& fn) const {
+void ButterflyLayoutPlan::emit_level2_wire(u64 u, int kind, WireSink fn) const {
   const int s = sb_.prefix(1);  // transition n1 -> n1+1
   const u64 w = (kind == 0) ? sb_.isn().sigma(2, u) : (sb_.isn().sigma(2, u) ^ 1);
   const u64 a = block_of_row(u);
@@ -412,7 +410,7 @@ void ButterflyLayoutPlan::emit_level2_wire(u64 u, int kind,
            .to_y(to_y, lp.v)
            .to_x(to_x, lp.h)
            .to(sb_.node_id(w, s + 1))
-           .build());
+           .wire());
     return;
   }
 
@@ -433,11 +431,10 @@ void ButterflyLayoutPlan::emit_level2_wire(u64 u, int kind,
          .to_y(to_y, v_layer)
          .to_x(to_x, h_layer)
          .to(sb_.node_id(w, s + 1))
-         .build());
+         .wire());
 }
 
-void ButterflyLayoutPlan::emit_level3_wire(u64 u, int kind,
-                                           const std::function<void(Wire&&)>& fn) const {
+void ButterflyLayoutPlan::emit_level3_wire(u64 u, int kind, WireSink fn) const {
   const int s = sb_.prefix(2);  // transition n2 -> n2+1
   const u64 w = (kind == 0) ? sb_.isn().sigma(3, u) : (sb_.isn().sigma(3, u) ^ 1);
   const u64 a = block_of_row(u);
@@ -460,7 +457,7 @@ void ButterflyLayoutPlan::emit_level3_wire(u64 u, int kind,
            .to_y(to_y, lp.v)
            .to_x(to_x, lp.h)
            .to(sb_.node_id(w, s + 1))
-           .build());
+           .wire());
     return;
   }
 
@@ -488,10 +485,10 @@ void ButterflyLayoutPlan::emit_level3_wire(u64 u, int kind,
          .to_y(to_y, v_layer)
          .to_x(to_x, h_layer)
          .to(sb_.node_id(w, s + 1))
-         .build());
+         .wire());
 }
 
-void ButterflyLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) const {
+void ButterflyLayoutPlan::for_each_wire(WireSink fn) const {
   const u64 rows = sb_.rows();
   for (int s = 0; s < n_; ++s) {
     const bool boundary = sb_.is_swap_transition(s);
@@ -513,35 +510,24 @@ void ButterflyLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) c
 Layout ButterflyLayoutPlan::materialize() const {
   BFLY_TRACE_SCOPE("layout.materialize");
   Layout layout;
+  layout.reserve(sb_.num_nodes(), sb_.num_links());
   {
     BFLY_TRACE_SCOPE("layout.place_nodes");
     for_each_node([&](u64 id, Rect r) { layout.add_node(id, r); });
   }
   {
     BFLY_TRACE_SCOPE("layout.route_wires");
-    for_each_wire([&](Wire&& w) { layout.add_wire(std::move(w)); });
+    for_each_wire([&](const InlineWire& w) { layout.add_wire(w.to_wire()); });
   }
   return layout;
 }
 
 LayoutMetrics ButterflyLayoutPlan::metrics() const {
   BFLY_TRACE_SCOPE("layout.metrics");
-  LayoutMetrics m;
-  Rect box;
-  for_each_node([&](u64, Rect r) { box = box.united(r); });
-  for_each_wire([&](Wire&& w) {
-    box = box.united(w.bbox());
-    const i64 len = w.length();
-    m.max_wire_length = std::max(m.max_wire_length, len);
-    m.total_wire_length += len;
-    for (const int layer : w.layers) m.num_layers = std::max(m.num_layers, layer);
-    ++m.num_wires;
-  });
-  m.width = box.width();
-  m.height = box.height();
-  m.area = m.width * m.height;
-  m.volume = static_cast<i64>(m.num_layers) * m.area;
-  m.num_nodes = sb_.num_nodes();
+  MetricsAccumulator acc;
+  for_each_node([&](u64, Rect r) { acc.add_node(r); });
+  for_each_wire([&](const InlineWire& w) { acc.add_wire(w); });
+  const LayoutMetrics m = acc.finish();
   obs::set(obs::get_gauge("layout.area"), static_cast<double>(m.area));
   obs::set(obs::get_gauge("layout.max_wire_length"), static_cast<double>(m.max_wire_length));
   obs::set(obs::get_gauge("layout.num_wires"), static_cast<double>(m.num_wires));
@@ -552,7 +538,7 @@ std::vector<i64> link_wire_lengths(const ButterflyLayoutPlan& plan) {
   const SwapButterfly& net = plan.network();
   const u64 rows = net.rows();
   std::vector<i64> lengths(static_cast<std::size_t>(net.num_links()), 0);
-  plan.for_each_wire([&](Wire&& wire) {
+  plan.for_each_wire([&](const InlineWire& wire) {
     BFLY_CHECK(wire.from_node.has_value() && wire.to_node.has_value(),
                "layout wire is not attached to nodes");
     const int s = net.stage_of(*wire.from_node);

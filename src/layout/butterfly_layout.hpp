@@ -14,12 +14,13 @@
 //
 // The same construction both *materializes* into explicit geometry (checked
 // by the Thompson / multilayer legality checkers) and *streams* its wires to
-// compute exact metrics for sizes too large to hold in memory.  The two
-// paths share one wire enumerator, so the streamed metrics are the metrics
-// of the real layout.
+// compute exact metrics for sizes too large to hold in memory.  Both paths,
+// and link_wire_lengths, run the one wire enumerator for_each_wire, which
+// hands each wire to a non-owning callback as an InlineWire and allocates
+// nothing per wire; so the streamed metrics are the metrics of the real
+// layout, and only materialize() allocates.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "layout/collinear.hpp"
@@ -79,9 +80,10 @@ class ButterflyLayoutPlan {
   i64 height() const { return static_cast<i64>(grid_rows()) * cell_height_; }
 
   /// Streams every node rectangle (id = SwapButterfly::node_id).
-  void for_each_node(const std::function<void(u64, Rect)>& fn) const;
-  /// Streams every wire of the layout.
-  void for_each_wire(const std::function<void(Wire&&)>& fn) const;
+  void for_each_node(NodeSink fn) const;
+  /// Streams every wire of the layout; each InlineWire is valid only during
+  /// its call.
+  void for_each_wire(WireSink fn) const;
 
   /// Full geometry, feasible for moderate n (memory ~ num_links).
   Layout materialize() const;
@@ -107,9 +109,9 @@ class ButterflyLayoutPlan {
   i64 row_track_y(u64 grid_row, u64 logical_track, int* h_layer, int* v_layer) const;
   i64 col_track_x(u64 grid_col, u64 logical_track, int* h_layer, int* v_layer) const;
 
-  void emit_exchange_wire(u64 u, int s, int kind, const std::function<void(Wire&&)>& fn) const;
-  void emit_level2_wire(u64 u, int kind, const std::function<void(Wire&&)>& fn) const;
-  void emit_level3_wire(u64 u, int kind, const std::function<void(Wire&&)>& fn) const;
+  void emit_exchange_wire(u64 u, int s, int kind, WireSink fn) const;
+  void emit_level2_wire(u64 u, int kind, WireSink fn) const;
+  void emit_level3_wire(u64 u, int kind, WireSink fn) const;
 
   /// Replica index of the boundary link leaving (u, kind) among all links
   /// between its block pair, plus the collinear track lookup.

@@ -82,14 +82,14 @@ i64 HypercubeLayoutPlan::fold(u64 track, bool horizontal, int* v_layer, int* h_l
   return position;
 }
 
-void HypercubeLayoutPlan::for_each_node(const std::function<void(u64, Rect)>& fn) const {
+void HypercubeLayoutPlan::for_each_node(NodeSink fn) const {
   const u64 nodes = pow2(n_);
   for (u64 v = 0; v < nodes; ++v) {
     fn(v, Rect::square(node_x0(v), node_y0(v), node_side_));
   }
 }
 
-void HypercubeLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) const {
+void HypercubeLayoutPlan::for_each_wire(WireSink fn) const {
   const u64 nodes = pow2(n_);
   for (u64 v = 0; v < nodes; ++v) {
     // Row-channel dims: lower endpoint emits.
@@ -108,7 +108,7 @@ void HypercubeLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) c
              .to_x(node_x0(w) + d, hl)
              .to_y(node_y0(w) + node_side_ - 1, vl)
              .to(w)
-             .build());
+             .wire());
     }
     // Column-channel dims.
     for (int d = mc_; d < n_; ++d) {
@@ -128,36 +128,24 @@ void HypercubeLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) c
              .to_y(node_y0(w) + local, vl)
              .to_x(node_x0(w) + node_side_ - 1, hl)
              .to(w)
-             .build());
+             .wire());
     }
   }
 }
 
 Layout HypercubeLayoutPlan::materialize() const {
   Layout layout;
+  layout.reserve(pow2(n_), static_cast<u64>(n_) * pow2(n_ - 1));
   for_each_node([&](u64 id, Rect r) { layout.add_node(id, r); });
-  for_each_wire([&](Wire&& w) { layout.add_wire(std::move(w)); });
+  for_each_wire([&](const InlineWire& w) { layout.add_wire(w.to_wire()); });
   return layout;
 }
 
 LayoutMetrics HypercubeLayoutPlan::metrics() const {
-  LayoutMetrics m;
-  Rect box;
-  for_each_node([&](u64, Rect r) { box = box.united(r); });
-  for_each_wire([&](Wire&& w) {
-    box = box.united(w.bbox());
-    const i64 len = w.length();
-    m.max_wire_length = std::max(m.max_wire_length, len);
-    m.total_wire_length += len;
-    for (const int layer : w.layers) m.num_layers = std::max(m.num_layers, layer);
-    ++m.num_wires;
-  });
-  m.width = box.width();
-  m.height = box.height();
-  m.area = m.width * m.height;
-  m.volume = static_cast<i64>(m.num_layers) * m.area;
-  m.num_nodes = pow2(n_);
-  return m;
+  MetricsAccumulator acc;
+  for_each_node([&](u64, Rect r) { acc.add_node(r); });
+  for_each_wire([&](const InlineWire& w) { acc.add_wire(w); });
+  return acc.finish();
 }
 
 double HypercubeLayoutPlan::area_lower_bound(int n) {

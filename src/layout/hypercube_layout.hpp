@@ -16,8 +16,6 @@
 // reports measured area against it.
 #pragma once
 
-#include <functional>
-
 #include "layout/layout.hpp"
 #include "topology/hypercube.hpp"
 
@@ -44,8 +42,9 @@ class HypercubeLayoutPlan {
   i64 width() const { return static_cast<i64>(grid_cols()) * cell_width_; }
   i64 height() const { return static_cast<i64>(grid_rows()) * cell_height_; }
 
-  void for_each_node(const std::function<void(u64, Rect)>& fn) const;
-  void for_each_wire(const std::function<void(Wire&&)>& fn) const;
+  /// Stream the nodes and the wires, as ButterflyLayoutPlan does.
+  void for_each_node(NodeSink fn) const;
+  void for_each_wire(WireSink fn) const;
   Layout materialize() const;
   LayoutMetrics metrics() const;
 

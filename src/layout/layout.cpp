@@ -4,6 +4,12 @@
 
 namespace bfly {
 
+void Layout::reserve(u64 nodes, u64 wires) {
+  nodes_.reserve(nodes);
+  node_index_.reserve(nodes);
+  wires_.reserve(wires);
+}
+
 void Layout::add_node(u64 id, Rect rect) {
   BFLY_REQUIRE(!rect.empty(), "node rectangle must be non-empty");
   BFLY_REQUIRE(!node_index_.contains(id), "duplicate node id");

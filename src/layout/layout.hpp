@@ -5,6 +5,7 @@
 // benches compare these measurements against the closed forms.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -31,10 +32,49 @@ struct LayoutMetrics {
   u64 num_wires = 0;
 };
 
+/// The callback the layout plans stream their node rectangles to.
+using NodeSink = FunctionRef<void(u64, Rect)>;
+
+/// Folds streamed nodes and wires into LayoutMetrics one at a time: the
+/// streamed metrics() of every plan.  Layout::metrics() computes the same
+/// quantities on its own from the stored geometry, and the tests hold the
+/// two equal.
+class MetricsAccumulator {
+ public:
+  void add_node(const Rect& rect) {
+    box_ = box_.united(rect);
+    ++m_.num_nodes;
+  }
+
+  void add_wire(const InlineWire& wire) {
+    box_ = box_.united(wire.bbox());
+    const i64 length = wire.length();
+    m_.max_wire_length = std::max(m_.max_wire_length, length);
+    m_.total_wire_length += length;
+    for (const int layer : wire.layers()) m_.num_layers = std::max(m_.num_layers, layer);
+    ++m_.num_wires;
+  }
+
+  LayoutMetrics finish() const {
+    LayoutMetrics m = m_;
+    m.width = box_.width();
+    m.height = box_.height();
+    m.area = m.width * m.height;
+    m.volume = static_cast<i64>(m.num_layers) * m.area;
+    return m;
+  }
+
+ private:
+  Rect box_;
+  LayoutMetrics m_;
+};
+
 class Layout {
  public:
   Layout() = default;
 
+  /// Reserves room for `nodes` nodes and `wires` wires.
+  void reserve(u64 nodes, u64 wires);
   /// Places a node; ids must be unique.
   void add_node(u64 id, Rect rect);
   /// Adds a routed wire (validated for rectilinearity on insertion).

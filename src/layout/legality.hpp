@@ -17,7 +17,13 @@
 //   neither overlap nor cross, vias block their full z-range at their (x, y),
 //   and network nodes occupy their rectangle on layer 1.
 //
-// The checkers are exact (no sampling) and run in O(S log S) for S segments.
+// The checkers are exact (no sampling).  Both extract every segment once
+// into a flat table, bucketed by class (orientation, and layer in the
+// multilayer model) and sorted by line and position; the collinear, crossing,
+// via and node-clearance passes all read that table, so a check costs a few
+// sorts and linear scans, O(S log S) for S segments.  The node sweeps keep
+// their active rectangles in a flat array sorted by y, merged where nodes
+// enter and filtered where they leave.
 #pragma once
 
 #include <string>

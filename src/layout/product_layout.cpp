@@ -90,7 +90,7 @@ i64 ProductLayoutPlan::fold(u64 track, bool horizontal, int* v_layer, int* h_lay
   return position;
 }
 
-void ProductLayoutPlan::for_each_node(const std::function<void(u64, Rect)>& fn) const {
+void ProductLayoutPlan::for_each_node(NodeSink fn) const {
   for (u64 i = 0; i < grid_rows(); ++i) {
     for (u64 j = 0; j < grid_cols(); ++j) {
       fn(node_id(i, j), Rect::square(static_cast<i64>(j) * cell_width_,
@@ -99,7 +99,7 @@ void ProductLayoutPlan::for_each_node(const std::function<void(u64, Rect)>& fn) 
   }
 }
 
-void ProductLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) const {
+void ProductLayoutPlan::for_each_wire(WireSink fn) const {
   const auto col_edges = cols_graph_.edges();
   const auto row_edges = rows_graph_.edges();
   // Column-factor links, one copy per grid row, in the row channels.
@@ -121,7 +121,7 @@ void ProductLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) con
              .to_x(bx, hl)
              .to_y(y0 + node_side_ - 1, vl)
              .to(node_id(i, b))
-             .build());
+             .wire());
     }
   }
   // Row-factor links, one copy per grid column, in the column channels.
@@ -143,36 +143,25 @@ void ProductLayoutPlan::for_each_wire(const std::function<void(Wire&&)>& fn) con
              .to_y(by, vl)
              .to_x(x0 + node_side_ - 1, hl)
              .to(node_id(b, j))
-             .build());
+             .wire());
     }
   }
 }
 
 Layout ProductLayoutPlan::materialize() const {
   Layout layout;
+  layout.reserve(num_nodes(), grid_rows() * cols_graph_.num_edges() +
+                                  grid_cols() * rows_graph_.num_edges());
   for_each_node([&](u64 id, Rect r) { layout.add_node(id, r); });
-  for_each_wire([&](Wire&& w) { layout.add_wire(std::move(w)); });
+  for_each_wire([&](const InlineWire& w) { layout.add_wire(w.to_wire()); });
   return layout;
 }
 
 LayoutMetrics ProductLayoutPlan::metrics() const {
-  LayoutMetrics m;
-  Rect box;
-  for_each_node([&](u64, Rect r) { box = box.united(r); });
-  for_each_wire([&](Wire&& w) {
-    box = box.united(w.bbox());
-    const i64 len = w.length();
-    m.max_wire_length = std::max(m.max_wire_length, len);
-    m.total_wire_length += len;
-    for (const int layer : w.layers) m.num_layers = std::max(m.num_layers, layer);
-    ++m.num_wires;
-  });
-  m.width = box.width();
-  m.height = box.height();
-  m.area = m.width * m.height;
-  m.volume = static_cast<i64>(m.num_layers) * m.area;
-  m.num_nodes = num_nodes();
-  return m;
+  MetricsAccumulator acc;
+  for_each_node([&](u64, Rect r) { acc.add_node(r); });
+  for_each_wire([&](const InlineWire& w) { acc.add_wire(w); });
+  return acc.finish();
 }
 
 Graph ProductLayoutPlan::product_graph() const {

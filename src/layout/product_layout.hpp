@@ -11,8 +11,6 @@
 // hypercubes (Q_n = Q_a x Q_b) all drop out of this one generator.
 #pragma once
 
-#include <functional>
-
 #include "layout/layout.hpp"
 #include "topology/graph.hpp"
 
@@ -37,8 +35,9 @@ class ProductLayoutPlan {
 
   u64 node_id(u64 i, u64 j) const { return i * grid_cols() + j; }
 
-  void for_each_node(const std::function<void(u64, Rect)>& fn) const;
-  void for_each_wire(const std::function<void(Wire&&)>& fn) const;
+  /// Stream the nodes and the wires, as ButterflyLayoutPlan does.
+  void for_each_node(NodeSink fn) const;
+  void for_each_wire(WireSink fn) const;
   Layout materialize() const;
   LayoutMetrics metrics() const;
 

@@ -70,21 +70,22 @@ HierarchicalPlan plan_hierarchical(int n, const ChipConstraints& constraints) {
   BFLY_REQUIRE(n >= 2, "hierarchical planning needs dimension >= 2");
   BFLY_TRACE_SCOPE("packaging.plan_hierarchical");
   for (int k1 = n - 1; k1 >= 1; --k1) {
+    // k1 < n, so there are at least two levels and a chip grid row.
     const std::vector<int> k = split_with_nucleus(n, k1);
-    const SwapButterfly sb(k);
-    const Partition partition = row_block_partition(sb, k1);
-    const PartitionStats stats = evaluate_partition(sb.graph(), partition);
+    const int k2 = k[1];
+    const int k3 = k.size() >= 3 ? k[2] : 0;
+    // The chip edge must host the channel terminals of the collinear
+    // K_{2^k2} channel with replication 2^{2+k1-k2}; otherwise a smaller
+    // nucleus (fewer, thinner channels) is needed.  This test is arithmetic,
+    // so it runs before any link is counted.
+    const u64 mult = pow2(2 + k1 - k2);
+    const u64 incident = mult * (pow2(k2) - 1);
+    const u64 per_edge = constraints.split_terminals
+                             ? static_cast<u64>(ceil_div(static_cast<i64>(incident), 2))
+                             : incident;
+    if (per_edge > static_cast<u64>(constraints.chip_side)) continue;
+    const PartitionStats stats = row_block_stats(SwapButterfly(k), k1);
     if (stats.max_offmodule_links_per_module > constraints.max_offchip_links) continue;
-    if (k.size() >= 2) {
-      // The chip edge must host the channel terminals; otherwise a smaller
-      // nucleus (fewer, thinner channels) is needed.
-      const u64 mult = pow2(2 + k1 - k[1]);
-      const u64 incident = mult * (pow2(k[1]) - 1);
-      const u64 per_edge = constraints.split_terminals
-                               ? static_cast<u64>(ceil_div(static_cast<i64>(incident), 2))
-                               : incident;
-      if (per_edge > static_cast<u64>(constraints.chip_side)) continue;
-    }
 
     HierarchicalPlan plan;
     plan.n = n;
@@ -93,24 +94,13 @@ HierarchicalPlan plan_hierarchical(int n, const ChipConstraints& constraints) {
     plan.nodes_per_chip = pow2(k1) * static_cast<u64>(n + 1);
     plan.num_chips = stats.num_modules;
     plan.offchip_links_per_chip = stats.max_offmodule_links_per_module;
-    const int k2 = k.size() >= 2 ? k[1] : 0;
-    const int k3 = k.size() >= 3 ? k[2] : 0;
     plan.grid_cols = pow2(k2);
     plan.grid_rows = pow2(k3);
     plan.chip_side = constraints.chip_side;
-
-    // Collinear K_{2^k2} channel with replication 2^{2+k1-k2}; the paper's
-    // optimization moves the type-1 (adjacent-chip) class into the gap
-    // between the chips, saving one class of tracks.
-    if (k2 > 0) {
-      const u64 mult = pow2(2 + k1 - k2);
-      const u64 full = collinear_track_count(pow2(k2), mult);
-      plan.logical_tracks_per_channel = full - mult;
-      const u64 incident = mult * (pow2(k2) - 1);
-      plan.terminals_per_edge = constraints.split_terminals
-                                    ? static_cast<u64>(ceil_div(static_cast<i64>(incident), 2))
-                                    : incident;
-    }
+    // The paper's optimization moves the type-1 (adjacent-chip) class into
+    // the gap between the chips, saving one class of tracks.
+    plan.logical_tracks_per_channel = collinear_track_count(pow2(k2), mult) - mult;
+    plan.terminals_per_edge = per_edge;
     obs::set(obs::get_gauge("packaging.num_chips"), static_cast<double>(plan.num_chips));
     obs::set(obs::get_gauge("packaging.offchip_links_per_chip"),
              static_cast<double>(plan.offchip_links_per_chip));

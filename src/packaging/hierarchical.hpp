@@ -9,6 +9,12 @@
 // neighbor links into the gap between their chips), and needs board area
 // 409.6K with 2 wiring layers, 160K with 4, and 78.4K with 8.  The naive
 // consecutive-row packing fits only 3 rows per chip and needs 171 chips.
+//
+// plan_hierarchical tries k_1 = n-1, ..., 1.  For each it first checks, by
+// arithmetic, that a chip edge can host its channel terminals, and only
+// then counts the off-chip links per chip with row_block_stats: in-level
+// exchanges flip row bits below k_i <= k_1 and stay on their chip, so only
+// the l-1 swap transitions are visited, and no Graph is built.
 #pragma once
 
 #include <vector>
@@ -48,8 +54,9 @@ struct HierarchicalPlan {
 };
 
 /// Plans a two-level (chip + board) package of an n-dimensional butterfly:
-/// picks the largest k_1 whose row-block partition respects the pin budget,
-/// splitting n into l = ceil(n/k_1) groups.
+/// picks the largest k_1 whose row-block partition respects the pin budget
+/// and whose chip edge hosts its channel terminals, splitting n into
+/// l = ceil(n/k_1) groups.
 HierarchicalPlan plan_hierarchical(int n, const ChipConstraints& constraints);
 
 /// Chips required by the naive consecutive-row packing under the same pin

@@ -57,6 +57,39 @@ Partition row_block_partition(const SwapButterfly& sb, int rows_log2) {
   return p;
 }
 
+PartitionStats row_block_stats(const SwapButterfly& sb, int rows_log2) {
+  BFLY_REQUIRE(rows_log2 >= 0 && rows_log2 <= sb.dimension(),
+               "rows per module must divide the row count");
+  PartitionStats stats;
+  stats.num_modules = sb.rows() >> rows_log2;
+  stats.max_nodes_per_module = pow2(rows_log2) * static_cast<u64>(sb.num_stages());
+  stats.min_nodes_per_module = stats.max_nodes_per_module;
+
+  std::vector<u64> offlinks_per_module(stats.num_modules, 0);
+  for (int s = 0; s < sb.dimension(); ++s) {
+    if (!sb.is_swap_transition(s) &&
+        s - sb.prefix(sb.level_of_transition(s) - 1) < rows_log2) {
+      continue;
+    }
+    for (u64 u = 0; u < sb.rows(); ++u) {
+      const u64 mu = u >> rows_log2;
+      for (const u64 w : {sb.straight_target(u, s), sb.cross_target(u, s)}) {
+        const u64 mw = w >> rows_log2;
+        if (mu == mw) continue;
+        ++stats.total_offmodule_links;
+        ++offlinks_per_module[mu];
+        ++offlinks_per_module[mw];
+      }
+    }
+  }
+  stats.max_offmodule_links_per_module =
+      *std::max_element(offlinks_per_module.begin(), offlinks_per_module.end());
+  stats.avg_offmodule_links_per_node =
+      2.0 * static_cast<double>(stats.total_offmodule_links) /
+      static_cast<double>(sb.num_nodes());
+  return stats;
+}
+
 Partition nucleus_partition(const SwapButterfly& sb) {
   Partition p;
   p.module_of.resize(sb.num_nodes());
@@ -109,7 +142,6 @@ u64 theorem21_max_offlinks(int k1) { return pow2(k1 + 2); }
 
 std::vector<PackagingLevel> multilevel_packaging(const SwapButterfly& sb) {
   BFLY_TRACE_SCOPE("packaging.multilevel");
-  const Graph g = sb.graph();
   const int n = sb.dimension();
   std::vector<PackagingLevel> out;
   for (int j = 1; j < sb.levels(); ++j) {
@@ -117,7 +149,7 @@ std::vector<PackagingLevel> multilevel_packaging(const SwapButterfly& sb) {
     level.level = j;
     const int nj = sb.prefix(j);
     level.rows_per_module = pow2(nj);
-    level.stats = evaluate_partition(g, row_block_partition(sb, nj));
+    level.stats = row_block_stats(sb, nj);
     double sum = 0.0;
     for (int i = j + 1; i <= sb.levels(); ++i) {
       sum += 1.0 - 1.0 / static_cast<double>(

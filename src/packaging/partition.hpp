@@ -42,6 +42,14 @@ PartitionStats evaluate_partition(const Graph& graph, const Partition& partition
 /// (all stages) form a module.  rows_log2 defaults to k_1.
 Partition row_block_partition(const SwapButterfly& sb, int rows_log2);
 
+/// The statistics evaluate_partition(sb.graph(), row_block_partition(sb,
+/// rows_log2)) reports, counted from the stage transitions without building
+/// the graph.  A link leaves its row block only if its transition changes a
+/// row bit at or above rows_log2: an in-level exchange flips bit s - n_{i-1},
+/// so with rows_log2 >= k_i it stays inside, and at rows_log2 = k_1 only the
+/// l - 1 swap transitions are visited.
+PartitionStats row_block_stats(const SwapButterfly& sb, int rows_log2);
+
 /// Paper scheme 2 (Theorem 2.1): one nucleus butterfly per module.  Level-i
 /// modules hold stages [n_{i-1}+1, n_i] (level 1: [0, n_1]) of 2^{k_i} rows
 /// sharing all row bits above bit k_i.

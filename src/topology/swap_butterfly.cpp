@@ -2,38 +2,15 @@
 
 namespace bfly {
 
-SwapButterfly::SwapButterfly(std::vector<int> k) : k_(k), isn_(std::move(k)), n_(isn_.dimension()) {}
-
-int SwapButterfly::level_of_transition(int s) const {
-  BFLY_REQUIRE(s >= 0 && s < n_, "stage transition out of range");
+SwapButterfly::SwapButterfly(std::vector<int> k) : k_(k), isn_(std::move(k)), n_(isn_.dimension()) {
   // Transition s -> s+1 realizes butterfly dimension s, which belongs to the
   // unique level i with n_{i-1} <= s < n_i.
+  transition_level_.reserve(static_cast<std::size_t>(n_));
   for (int i = 1; i <= levels(); ++i) {
-    if (s < prefix(i)) return i;
+    for (int s = prefix(i - 1); s < prefix(i); ++s) transition_level_.push_back(i);
   }
-  BFLY_CHECK(false, "transition must belong to some level");
-  return -1;
-}
-
-u64 SwapButterfly::straight_target(u64 row, int s) const {
-  BFLY_REQUIRE(row < rows(), "row out of range");
-  const int i = level_of_transition(s);
-  if (i >= 2 && s == prefix(i - 1)) {
-    // Level boundary: the (doubled) swap link reconnected through the
-    // bypassed stage to the straight link of the first level-i exchange.
-    return isn_.sigma(i, row);
-  }
-  return row;
-}
-
-u64 SwapButterfly::cross_target(u64 row, int s) const {
-  BFLY_REQUIRE(row < rows(), "row out of range");
-  const int i = level_of_transition(s);
-  if (i >= 2 && s == prefix(i - 1)) {
-    return isn_.sigma(i, row) ^ 1;
-  }
-  const int j = s - prefix(i - 1);  // local dimension within level i
-  return row ^ pow2(j);
+  BFLY_CHECK(transition_level_.size() == static_cast<std::size_t>(n_),
+             "every transition must belong to some level");
 }
 
 u64 SwapButterfly::rho(int stage, u64 row) const {

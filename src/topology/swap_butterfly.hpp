@@ -50,7 +50,10 @@ class SwapButterfly {
   int stage_of(u64 id) const { return static_cast<int>(id / rows()); }
 
   /// The level whose exchange phase realizes transition s -> s+1 (s in [0,n)).
-  int level_of_transition(int s) const;
+  int level_of_transition(int s) const {
+    BFLY_REQUIRE(s >= 0 && s < n_, "stage transition out of range");
+    return transition_level_[static_cast<std::size_t>(s)];
+  }
 
   /// True iff transition s -> s+1 crosses a level boundary, i.e. its links
   /// are doubled swap links of the underlying ISN (these are exactly the
@@ -58,8 +61,23 @@ class SwapButterfly {
   bool is_swap_transition(int s) const { return level_of_transition(s) >= 2 && s == prefix(level_of_transition(s) - 1); }
 
   /// Targets in stage s+1 of the two links leaving (row, s).
-  u64 straight_target(u64 row, int s) const;
-  u64 cross_target(u64 row, int s) const;
+  u64 straight_target(u64 row, int s) const {
+    BFLY_REQUIRE(row < rows(), "row out of range");
+    const int i = level_of_transition(s);
+    if (i >= 2 && s == prefix(i - 1)) {
+      // Level boundary: the (doubled) swap link reconnected through the
+      // bypassed stage to the straight link of the first level-i exchange.
+      return isn_.sigma(i, row);
+    }
+    return row;
+  }
+  u64 cross_target(u64 row, int s) const {
+    BFLY_REQUIRE(row < rows(), "row out of range");
+    const int i = level_of_transition(s);
+    if (i >= 2 && s == prefix(i - 1)) return isn_.sigma(i, row) ^ 1;
+    const int j = s - prefix(i - 1);  // local dimension within level i
+    return row ^ pow2(j);
+  }
 
   /// Row map rho_s realizing the isomorphism onto B_{n_l} at stage s.
   u64 rho(int stage, u64 row) const;
@@ -74,6 +92,7 @@ class SwapButterfly {
   std::vector<int> k_;
   IndirectSwapNetwork isn_;
   int n_;
+  std::vector<int> transition_level_;  ///< level_of_transition, per s
 };
 
 }  // namespace bfly

@@ -4,6 +4,7 @@
 // and (c) metrically convergent to the paper's closed forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -55,7 +56,7 @@ TEST(ButterflyLayoutPlan, WiresRealizeTheNetwork) {
   const ButterflyLayoutPlan plan({2, 1, 1});
   const SwapButterfly& sb = plan.network();
   std::map<std::pair<u64, u64>, u64> got;
-  plan.for_each_wire([&](Wire&& w) {
+  plan.for_each_wire([&](const InlineWire& w) {
     ASSERT_TRUE(w.from_node.has_value());
     ASSERT_TRUE(w.to_node.has_value());
     u64 a = *w.from_node;
@@ -112,20 +113,57 @@ TEST(ButterflyLayoutPlan, ThompsonLegalAtTwoLayers) {
   EXPECT_TRUE(r.ok) << r.summary();
 }
 
+void expect_same_metrics(const LayoutMetrics& streamed, const LayoutMetrics& measured) {
+  EXPECT_EQ(streamed.width, measured.width);
+  EXPECT_EQ(streamed.height, measured.height);
+  EXPECT_EQ(streamed.area, measured.area);
+  EXPECT_EQ(streamed.max_wire_length, measured.max_wire_length);
+  EXPECT_EQ(streamed.total_wire_length, measured.total_wire_length);
+  EXPECT_EQ(streamed.num_layers, measured.num_layers);
+  EXPECT_EQ(streamed.volume, measured.volume);
+  EXPECT_EQ(streamed.num_nodes, measured.num_nodes);
+  EXPECT_EQ(streamed.num_wires, measured.num_wires);
+}
+
 TEST(ButterflyLayoutPlan, MetricsMatchMaterializedGeometry) {
-  for (const int L : {2, 4}) {
-    ButterflyLayoutOptions opt;
-    opt.layers = L;
-    const ButterflyLayoutPlan plan({2, 2, 2}, opt);
-    const LayoutMetrics streamed = plan.metrics();
-    const LayoutMetrics measured = plan.materialize().metrics();
-    EXPECT_EQ(streamed.width, measured.width);
-    EXPECT_EQ(streamed.height, measured.height);
-    EXPECT_EQ(streamed.area, measured.area);
-    EXPECT_EQ(streamed.max_wire_length, measured.max_wire_length);
-    EXPECT_EQ(streamed.total_wire_length, measured.total_wire_length);
-    EXPECT_EQ(streamed.num_wires, measured.num_wires);
+  for (int n = 3; n <= 10; ++n) {
+    for (int L = 2; L <= 8; ++L) {
+      for (const bool fold : {false, true}) {
+        for (const i64 node_side : {4, 16}) {
+          SCOPED_TRACE(testing::Message() << "n=" << n << " L=" << L << " fold=" << fold
+                                          << " side=" << node_side);
+          ButterflyLayoutOptions opt;
+          opt.layers = L;
+          opt.fold_block_channels = fold;
+          opt.node_side = node_side;
+          const ButterflyLayoutPlan plan(ButterflyLayoutPlan::choose_parameters(n), opt);
+          expect_same_metrics(plan.metrics(), plan.materialize().metrics());
+        }
+      }
+    }
   }
+}
+
+TEST(ButterflyLayoutPlan, LinkWireLengthsMatchMaterializedWires) {
+  // Every materialized wire, mapped to the butterfly's dense link id
+  // (stage * rows + rho row) * 2 + cross, has the streamed length.
+  const ButterflyLayoutPlan plan(ButterflyLayoutPlan::choose_parameters(8));
+  const SwapButterfly& net = plan.network();
+  const std::vector<i64> lengths = link_wire_lengths(plan);
+  ASSERT_EQ(lengths.size(), net.num_links());
+  const Layout layout = plan.materialize();
+  std::vector<bool> seen(lengths.size(), false);
+  for (const Wire& wire : layout.wires()) {
+    const int s = net.stage_of(*wire.from_node);
+    const u64 r1 = net.rho(s, net.row_of(*wire.from_node));
+    const u64 r2 = net.rho(s + 1, net.row_of(*wire.to_node));
+    const u64 link = (static_cast<u64>(s) * net.rows() + r1) * 2 + (r1 != r2 ? 1 : 0);
+    ASSERT_LT(link, lengths.size());
+    EXPECT_FALSE(seen[link]) << link;
+    seen[link] = true;
+    EXPECT_EQ(lengths[link], wire.length()) << link;
+  }
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), static_cast<std::ptrdiff_t>(seen.size()));
 }
 
 TEST(ButterflyLayoutPlan, AreaApproachesPaperFormula) {
@@ -266,7 +304,7 @@ TEST(FoldedBlocks, StillRealizesTheNetwork) {
   const ButterflyLayoutPlan plan({2, 2, 1}, opt);
   const SwapButterfly& sb = plan.network();
   std::map<std::pair<u64, u64>, u64> got;
-  plan.for_each_wire([&](Wire&& w) {
+  plan.for_each_wire([&](const InlineWire& w) {
     u64 a = *w.from_node;
     u64 b = *w.to_node;
     if (a > b) std::swap(a, b);

@@ -19,7 +19,7 @@ TEST(HypercubeLayout, SplitsDimensions) {
 TEST(HypercubeLayout, WiresRealizeTheHypercube) {
   const HypercubeLayoutPlan plan(6);
   std::map<std::pair<u64, u64>, u64> got;
-  plan.for_each_wire([&](Wire&& w) {
+  plan.for_each_wire([&](const InlineWire& w) {
     ASSERT_TRUE(w.from_node.has_value());
     ASSERT_TRUE(w.to_node.has_value());
     u64 a = *w.from_node;
@@ -31,6 +31,28 @@ TEST(HypercubeLayout, WiresRealizeTheHypercube) {
   const Graph g = Hypercube(6).graph();
   for (const auto& [a, b] : g.edges()) ++want[{a, b}];
   EXPECT_EQ(got, want);
+}
+
+TEST(HypercubeLayout, MetricsMatchMaterializedGeometry) {
+  for (int n = 2; n <= 10; ++n) {
+    for (const int L : {2, 3, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " L=" << L);
+      HypercubeLayoutOptions opt;
+      opt.layers = L;
+      const HypercubeLayoutPlan plan(n, opt);
+      const LayoutMetrics streamed = plan.metrics();
+      const LayoutMetrics measured = plan.materialize().metrics();
+      EXPECT_EQ(streamed.width, measured.width);
+      EXPECT_EQ(streamed.height, measured.height);
+      EXPECT_EQ(streamed.area, measured.area);
+      EXPECT_EQ(streamed.max_wire_length, measured.max_wire_length);
+      EXPECT_EQ(streamed.total_wire_length, measured.total_wire_length);
+      EXPECT_EQ(streamed.num_layers, measured.num_layers);
+      EXPECT_EQ(streamed.volume, measured.volume);
+      EXPECT_EQ(streamed.num_nodes, measured.num_nodes);
+      EXPECT_EQ(streamed.num_wires, measured.num_wires);
+    }
+  }
 }
 
 class HypercubeLegality : public ::testing::TestWithParam<std::tuple<int, int>> {};

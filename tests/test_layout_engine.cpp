@@ -56,6 +56,24 @@ TEST(Wire, BuilderRequiresSegment) {
   EXPECT_THROW(WireBuilder(Point{1, 1}).build(), InvalidArgument);
 }
 
+TEST(Wire, BuilderHoldsUpToItsInlineCapacity) {
+  // kMaxWirePoints points fit in place; one more is an internal error.
+  WireBuilder b(Point{0, 0});
+  for (std::size_t i = 1; i < kMaxWirePoints; ++i) {
+    const i64 step = static_cast<i64>(i);
+    if (i % 2 == 1) {
+      b.to_x(step, 1);
+    } else {
+      b.to_y(step, 2);
+    }
+  }
+  const InlineWire& w = b.wire();
+  EXPECT_EQ(w.points().size(), kMaxWirePoints);
+  EXPECT_EQ(w.layers().size(), kMaxWirePoints - 1);
+  EXPECT_EQ(b.build().points.size(), kMaxWirePoints);
+  EXPECT_THROW(b.to_x(-1, 1), InternalError);
+}
+
 TEST(Layout, NodeAndWireAccounting) {
   Layout layout;
   layout.add_node(7, Rect::square(0, 0, 4));

@@ -18,6 +18,8 @@ struct RandomChannel {
   Layout layout;
   i64 track_y0 = 0;
   u64 num_wires = 0;
+  i64 side = 0;   ///< node side
+  i64 pitch = 0;  ///< node pitch along a row; columns side..pitch-1 are gaps
 };
 
 /// Two facing rows of nodes connected through a channel; wire i uses its own
@@ -32,6 +34,8 @@ RandomChannel make_channel(u64 seed, u64 nodes_per_row, int max_layer_pairs) {
   const i64 top_row_y = side + channel_height;
   ch.track_y0 = side + 1;
   ch.num_wires = wires;
+  ch.side = side;
+  ch.pitch = side + 2;
 
   for (u64 i = 0; i < nodes_per_row; ++i) {
     ch.layout.add_node(i, Rect::square(static_cast<i64>(i) * (side + 2), 0, side));
@@ -152,6 +156,57 @@ TEST_P(MutationFuzz, LayerSquashIsRejected) {
   EXPECT_FALSE(check_multilayer(mutated).ok);
 }
 
+TEST_P(MutationFuzz, HorizontalThroughForeignNodeIsRejected) {
+  // A free layer-1 horizontal run through the middle of a bottom-row node:
+  // only the transposed node-clearance sweep sees it (no other wire has a
+  // segment or via there).
+  const RandomChannel ch = make_channel(GetParam() ^ 0x4444, 5, 2);
+  Xoshiro256 rng(GetParam() * 43);
+  const i64 node = static_cast<i64>(rng.below(5));
+  const i64 y = static_cast<i64>(rng.below(static_cast<u64>(ch.side - 1)));  // below the terminals
+  const Layout mutated = mutate(ch.layout, [&](std::vector<Wire>& wires) {
+    wires.push_back(WireBuilder(Point{node * ch.pitch - 1, y})
+                        .to_x(node * ch.pitch + ch.side, 1)
+                        .build());
+  });
+  EXPECT_TRUE(check_multilayer(ch.layout).ok);
+  const LegalityReport r = check_multilayer(mutated);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.summary().find("multilayer(h): wire"), std::string::npos) << r.summary();
+}
+
+TEST_P(MutationFuzz, ViaThroughForeignSegmentIsRejected) {
+  // A new wire bends at a gap column on another wire's horizontal run, from
+  // the layer below that run to the layer above: its via passes through the
+  // run, and only the via-vs-segment index sees it (gap columns hold no
+  // other vertical, and no other wire runs horizontally on odd layers).
+  const RandomChannel ch = make_channel(GetParam() ^ 0x5555, 5, 3);
+  Xoshiro256 rng(GetParam() * 47);
+  const Layout mutated = mutate(ch.layout, [&](std::vector<Wire>& wires) {
+    const std::size_t start = rng.below(wires.size());
+    for (std::size_t k = 0; k < wires.size(); ++k) {
+      const Wire& victim = wires[(start + k) % wires.size()];
+      // The channel run: points[1] -> points[2] on the wire's H layer.
+      const i64 y = victim.points[1].y;
+      const i64 lo = std::min(victim.points[1].x, victim.points[2].x);
+      const i64 hi = std::max(victim.points[1].x, victim.points[2].x);
+      const int h_layer = victim.layers[1];
+      const i64 gap = (lo / ch.pitch) * ch.pitch + ch.side;  // first gap column at or after lo
+      if (gap <= lo || gap >= hi) continue;
+      wires.push_back(WireBuilder(Point{gap, y - 1})
+                          .to_y(y, h_layer - 1)
+                          .to_x(gap + 1, h_layer + 1)
+                          .build());
+      return;
+    }
+    FAIL() << "no channel run spans a gap column";
+  });
+  EXPECT_TRUE(check_multilayer(ch.layout).ok);
+  const LegalityReport r = check_multilayer(mutated);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.summary().find("collides with wire"), std::string::npos) << r.summary();
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MutationFuzz, ::testing::Range<u64>(1, 11),
                          [](const ::testing::TestParamInfo<u64>& pinfo) {
                            return "seed" + std::to_string(pinfo.param);
@@ -191,6 +246,39 @@ INSTANTIATE_TEST_SUITE_P(
       if (std::get<3>(pinfo.param)) name += "_fold";
       return name;
     });
+
+// Regression guard: the checkers' segment and via counts for the butterfly
+// constructions, recorded before the checkers moved to flat structures.  The
+// counts depend on n alone (not on L or block folding).
+TEST(ConstructionCounts, MatchRecordedSegmentAndViaCounts) {
+  const struct {
+    int n;
+    u64 segments;
+    u64 vias;
+  } recorded[] = {{6, 2880, 3648}, {8, 14720, 18816}, {10, 72192, 92672}};
+  for (const auto& rec : recorded) {
+    for (const int L : {2, 3, 4, 8}) {
+      for (const bool fold : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "n=" << rec.n << " L=" << L << " fold=" << fold);
+        ButterflyLayoutOptions opt;
+        opt.layers = L;
+        opt.fold_block_channels = fold;
+        const Layout layout =
+            ButterflyLayoutPlan(ButterflyLayoutPlan::choose_parameters(rec.n), opt).materialize();
+        const LegalityReport multi = check_multilayer(layout);
+        EXPECT_TRUE(multi.ok) << multi.summary();
+        EXPECT_EQ(multi.segments_checked, rec.segments);
+        EXPECT_EQ(multi.vias_checked, rec.vias);
+        if (L == 2) {
+          const LegalityReport thompson = check_thompson(layout);
+          EXPECT_TRUE(thompson.ok) << thompson.summary();
+          EXPECT_EQ(thompson.segments_checked, rec.segments);
+          EXPECT_EQ(thompson.vias_checked, 0u);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bfly

@@ -1,7 +1,11 @@
 // Section 2.3 and Theorem 2.1: partitioning and packaging.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "core/formulas.hpp"
+#include "layout/collinear.hpp"
 #include "packaging/hierarchical.hpp"
 #include "packaging/partition.hpp"
 
@@ -90,6 +94,93 @@ TEST(Partition, RowBlockBeatsNaiveByLogFactor) {
       evaluate_partition(bf12.graph(), naive_row_partition(bf12, 16)).avg_offmodule_links_per_node;
   EXPECT_GT(naive12 / ours12, s_naive.avg_offmodule_links_per_node /
                                   s_ours.avg_offmodule_links_per_node);
+}
+
+// --------------------------------------------------------------------------
+// The graph-built oracle for the row-block counts and the hierarchical plan:
+// every off-module link counted on the materialized swap-butterfly graph.
+// --------------------------------------------------------------------------
+
+/// n split as the planner splits it: k1 first, then k1-sized groups.
+std::vector<int> split_with_nucleus(int n, int k1) {
+  std::vector<int> k{k1};
+  for (int remaining = n - k1; remaining > 0; remaining -= k.back()) {
+    k.push_back(std::min(k1, remaining));
+  }
+  return k;
+}
+
+/// evaluate_partition on the graph, memoized per (n, k1): the stats do not
+/// depend on the chip constraints.
+const PartitionStats& oracle_stats(int n, int k1) {
+  static std::map<std::pair<int, int>, PartitionStats> memo;
+  const auto key = std::make_pair(n, k1);
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    const SwapButterfly sb(split_with_nucleus(n, k1));
+    it = memo.emplace(key, evaluate_partition(sb.graph(), row_block_partition(sb, k1))).first;
+  }
+  return it->second;
+}
+
+/// The planner as it was before it counted from the swap transitions: the
+/// graph count first, then the chip-edge terminal test.
+HierarchicalPlan oracle_plan(int n, const ChipConstraints& constraints) {
+  for (int k1 = n - 1; k1 >= 1; --k1) {
+    const std::vector<int> k = split_with_nucleus(n, k1);
+    const PartitionStats& stats = oracle_stats(n, k1);
+    if (stats.max_offmodule_links_per_module > constraints.max_offchip_links) continue;
+    const u64 mult = pow2(2 + k1 - k[1]);
+    const u64 incident = mult * (pow2(k[1]) - 1);
+    const u64 per_edge = constraints.split_terminals ? (incident + 1) / 2 : incident;
+    if (per_edge > static_cast<u64>(constraints.chip_side)) continue;
+    HierarchicalPlan plan;
+    plan.n = n;
+    plan.k = k;
+    plan.rows_log2 = k1;
+    plan.nodes_per_chip = pow2(k1) * static_cast<u64>(n + 1);
+    plan.num_chips = stats.num_modules;
+    plan.offchip_links_per_chip = stats.max_offmodule_links_per_module;
+    plan.grid_cols = pow2(k[1]);
+    plan.grid_rows = k.size() >= 3 ? pow2(k[2]) : 1;
+    plan.chip_side = constraints.chip_side;
+    plan.logical_tracks_per_channel = collinear_track_count(pow2(k[1]), mult) - mult;
+    plan.terminals_per_edge = per_edge;
+    return plan;
+  }
+  throw InvalidArgument("no row-block partition satisfies the pin budget");
+}
+
+TEST(Partition, RowBlockStatsMatchTheGraphCount) {
+  for (int n = 2; n <= 14; ++n) {
+    for (int k1 = 1; k1 < n; ++k1) {
+      const PartitionStats& want = oracle_stats(n, k1);
+      const PartitionStats got = row_block_stats(SwapButterfly(split_with_nucleus(n, k1)), k1);
+      EXPECT_EQ(got.total_offmodule_links, want.total_offmodule_links) << n << " " << k1;
+      EXPECT_EQ(got.max_offmodule_links_per_module, want.max_offmodule_links_per_module)
+          << n << " " << k1;
+      EXPECT_EQ(got.num_modules, want.num_modules) << n << " " << k1;
+      EXPECT_EQ(got.max_nodes_per_module, want.max_nodes_per_module) << n << " " << k1;
+      EXPECT_EQ(got.min_nodes_per_module, want.min_nodes_per_module) << n << " " << k1;
+      EXPECT_EQ(got.avg_offmodule_links_per_node, want.avg_offmodule_links_per_node)
+          << n << " " << k1;
+    }
+  }
+}
+
+TEST(Partition, RowBlockStatsCountExchangeLinksBelowTheBlock) {
+  // With fewer rows per block than a level's group size, in-level exchange
+  // links leave the blocks too, and are counted.
+  for (const auto& k : {std::vector<int>{3, 3, 3}, std::vector<int>{4, 2}}) {
+    const SwapButterfly sb(k);
+    for (int rows_log2 = 0; rows_log2 <= sb.dimension(); ++rows_log2) {
+      const PartitionStats want = evaluate_partition(sb.graph(), row_block_partition(sb, rows_log2));
+      const PartitionStats got = row_block_stats(sb, rows_log2);
+      EXPECT_EQ(got.total_offmodule_links, want.total_offmodule_links) << rows_log2;
+      EXPECT_EQ(got.max_offmodule_links_per_module, want.max_offmodule_links_per_module)
+          << rows_log2;
+    }
+  }
 }
 
 TEST(Partition, NucleusRespectsTheorem21Bounds) {
@@ -246,6 +337,45 @@ TEST(Hierarchical, TightPinBudgetShrinksChips) {
   EXPECT_LT(plan.nodes_per_chip, loose.nodes_per_chip);
   EXPECT_GT(plan.num_chips, loose.num_chips);
   EXPECT_LE(plan.offchip_links_per_chip, 32u);
+}
+
+TEST(Hierarchical, PlanMatchesTheGraphOracle) {
+  ChipConstraints defaults;
+  ChipConstraints joined;
+  joined.split_terminals = false;
+  ChipConstraints pins32;
+  pins32.max_offchip_links = 32;
+  ChipConstraints pins128;
+  pins128.max_offchip_links = 128;
+  ChipConstraints side16;
+  side16.chip_side = 16;
+  const std::pair<const char*, ChipConstraints> variants[] = {
+      {"defaults", defaults}, {"joined terminals", joined}, {"32 pins", pins32},
+      {"128 pins", pins128},  {"side 16", side16}};
+  for (int n = 2; n <= 16; ++n) {
+    for (const auto& [name, constraints] : variants) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " " << name);
+      HierarchicalPlan want;
+      try {
+        want = oracle_plan(n, constraints);
+      } catch (const InvalidArgument&) {
+        EXPECT_THROW(plan_hierarchical(n, constraints), InvalidArgument);
+        continue;
+      }
+      const HierarchicalPlan got = plan_hierarchical(n, constraints);
+      EXPECT_EQ(got.n, want.n);
+      EXPECT_EQ(got.k, want.k);
+      EXPECT_EQ(got.rows_log2, want.rows_log2);
+      EXPECT_EQ(got.nodes_per_chip, want.nodes_per_chip);
+      EXPECT_EQ(got.num_chips, want.num_chips);
+      EXPECT_EQ(got.offchip_links_per_chip, want.offchip_links_per_chip);
+      EXPECT_EQ(got.grid_rows, want.grid_rows);
+      EXPECT_EQ(got.grid_cols, want.grid_cols);
+      EXPECT_EQ(got.logical_tracks_per_channel, want.logical_tracks_per_channel);
+      EXPECT_EQ(got.chip_side, want.chip_side);
+      EXPECT_EQ(got.terminals_per_edge, want.terminals_per_edge);
+    }
+  }
 }
 
 }  // namespace

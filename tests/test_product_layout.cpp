@@ -29,7 +29,7 @@ TEST(BasicGraphs, PathCycleTorus) {
 TEST(ProductLayout, RealizesTheProductGraph) {
   const ProductLayoutPlan plan(cycle_graph(4), cycle_graph(6));
   std::map<std::pair<u64, u64>, u64> got;
-  plan.for_each_wire([&](Wire&& w) {
+  plan.for_each_wire([&](const InlineWire& w) {
     u64 a = *w.from_node;
     u64 b = *w.to_node;
     if (a > b) std::swap(a, b);
@@ -41,6 +41,31 @@ TEST(ProductLayout, RealizesTheProductGraph) {
   EXPECT_EQ(got, want);
   EXPECT_EQ(g.num_nodes(), 24u);
   EXPECT_EQ(g.num_edges(), 4u * 6 + 6u * 4);  // C4 x C6 torus
+}
+
+TEST(ProductLayout, MetricsMatchMaterializedGeometry) {
+  const std::pair<Graph, Graph> factors[] = {{cycle_graph(4), cycle_graph(6)},
+                                              {torus_graph(3, 2), path_graph(5)},
+                                              {Hypercube(3).graph(), Hypercube(4).graph()}};
+  for (const auto& [rows, cols] : factors) {
+    for (const int L : {2, 3, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << rows.num_nodes() << "x" << cols.num_nodes() << " L=" << L);
+      ProductLayoutOptions opt;
+      opt.layers = L;
+      const ProductLayoutPlan plan(rows, cols, opt);
+      const LayoutMetrics streamed = plan.metrics();
+      const LayoutMetrics measured = plan.materialize().metrics();
+      EXPECT_EQ(streamed.width, measured.width);
+      EXPECT_EQ(streamed.height, measured.height);
+      EXPECT_EQ(streamed.area, measured.area);
+      EXPECT_EQ(streamed.max_wire_length, measured.max_wire_length);
+      EXPECT_EQ(streamed.total_wire_length, measured.total_wire_length);
+      EXPECT_EQ(streamed.num_layers, measured.num_layers);
+      EXPECT_EQ(streamed.volume, measured.volume);
+      EXPECT_EQ(streamed.num_nodes, measured.num_nodes);
+      EXPECT_EQ(streamed.num_wires, measured.num_wires);
+    }
+  }
 }
 
 TEST(ProductLayout, HypercubeAsProductMatchesDedicatedPlan) {
