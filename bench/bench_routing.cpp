@@ -9,7 +9,6 @@
 #include "core/bfly.hpp"
 #include "obs/timeseries.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -199,15 +198,6 @@ int main(int argc, char** argv) {
   print_load_balance();
   print_congestion_table();
   session.artifact_percentiles("routing.latency_cycles", "routing.latency_cycles");
-  // Pool utilization gauges: idempotent last-write-wins snapshots of the
-  // shared pool's counters, taken after all parallel work has finished.
-  const ThreadPool::Stats pool = ThreadPool::shared().stats();
-  obs::set(obs::get_gauge("pool.tasks_executed"), static_cast<double>(pool.tasks_executed));
-  obs::set(obs::get_gauge("pool.assists"), static_cast<double>(pool.assists));
-  obs::set(obs::get_gauge("pool.workers"), static_cast<double>(pool.worker_tasks.size()));
-  u64 busy_us = 0;
-  for (const u64 us : pool.worker_busy_us) busy_us += us;
-  obs::set(obs::get_gauge("pool.busy_us"), static_cast<double>(busy_us));
   session.emit_report();
   return 0;
 }

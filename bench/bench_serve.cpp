@@ -19,8 +19,8 @@
 //     cache are byte-for-byte the responses the first process produced.
 //
 // Raw counts of the racy buckets (how many shed vs completed) are
-// machine-dependent, so they are reported under an ignore-ruled key; only the
-// invariants gate.  perfbench's serve workload times the daemon.
+// machine-dependent, so they appear only in the stderr table; the report
+// carries the invariants alone.  perfbench's serve workload times the daemon.
 //
 // All workloads run against local metrics registries so the session report's
 // metric surface stays empty and deterministic.
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
@@ -334,17 +333,6 @@ int main(int argc, char** argv) {
                    replay.bit_identical == replay.frames && replay.restart_misses == 0 ? 1.0
                                                                                       : 0.0);
   session.artifact("serve_replay_frames", static_cast<double>(replay.frames));
-
-  // Machine-speed-dependent counts: reported for the trajectory, ignore-ruled
-  // in the gate (thresholds.json).
-  json::Value counts = json::Value::object();
-  counts.set("completed", json::Value::number(static_cast<double>(storm.ledger.completed)));
-  counts.set("cancelled", json::Value::number(static_cast<double>(storm.ledger.cancelled)));
-  counts.set("shed", json::Value::number(static_cast<double>(storm.ledger.shed)));
-  counts.set("failed", json::Value::number(static_cast<double>(storm.ledger.failed)));
-  counts.set("cache_hits", json::Value::number(static_cast<double>(storm.ledger.cache_hits)));
-  counts.set("coalesced", json::Value::number(static_cast<double>(storm.ledger.coalesced)));
-  session.artifact("serve_storm", std::move(counts));
 
   session.emit_report();
   return 0;

@@ -53,7 +53,7 @@ FaultLoadCensus measure_link_loads_faulty(int n, u64 packets, u64 seed, const Fa
   FaultLoadCensus out;
   out.census = detail::census_link_loads(
       n, packets, seed, faults, options, threads, keep_link_loads, /*cancel=*/nullptr,
-      {"fault.census.worker", "fault.census.merge", "fault.census.packets"}, &out.tally);
+      {"fault.census.chunk", "fault.census.merge", "fault.census.packets"}, &out.tally);
   out.delivered_fraction =
       packets > 0 ? static_cast<double>(out.tally.delivered) / static_cast<double>(packets)
                   : 0.0;

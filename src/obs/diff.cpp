@@ -92,7 +92,6 @@ FlatReport flatten(const RunReport& report, const DiffOptions& options) {
     const std::string prefix = "spans." + span.at("name").as_string();
     flat.add(prefix + ".count", span.at("count").as_double());
     flat.add(prefix + ".total_us", span.at("total_us").as_double());
-    flat.add(prefix + ".max_us", span.at("max_us").as_double());
   }
   flatten_artifact("artifact_stats", report.doc.at("artifact_stats"), &flat);
   // v2 telemetry block: summarize rather than flatten the raw rows — sample
@@ -229,7 +228,7 @@ RunReport RunReport::parse(std::string_view text) {
     require_key(span, "name", json::Value::Type::kString, "span");
     require_key(span, "count", json::Value::Type::kNumber, "span");
     require_key(span, "total_us", json::Value::Type::kNumber, "span");
-    require_key(span, "max_us", json::Value::Type::kNumber, "span");
+    // Older reports also carry "max_us"; it is accepted and never read.
   }
 
   // The optional v2 telemetry block.  Validated only structurally (the shape
@@ -453,8 +452,6 @@ ThresholdRule parse_rule(const json::Value& v, const ThresholdRule& defaults) {
       rule.fail_rel = value.as_double();
     } else if (key == "abs_tol") {
       rule.abs_tol = value.as_double();
-    } else if (key == "ignore") {
-      rule.ignore = value.as_bool();
     } else {
       throw InvalidArgument("thresholds: unknown rule key '" + key + "'");
     }
@@ -497,7 +494,6 @@ const ThresholdRule& Thresholds::rule_for(std::string_view key) const {
 }
 
 Severity classify(const MetricDelta& delta, const ThresholdRule& rule) {
-  if (rule.ignore) return Severity::kPass;
   if (std::abs(delta.abs_delta) <= rule.abs_tol) return Severity::kPass;
   const double rel = std::abs(delta.rel_delta);
   if (rel <= rule.warn_rel) return Severity::kPass;
@@ -508,17 +504,14 @@ Severity classify(const MetricDelta& delta, const ThresholdRule& rule) {
 CheckResult check_diff(const ReportDiff& diff, const Thresholds& thresholds) {
   CheckResult result;
   for (const MetricDelta& delta : diff.deltas) {
-    const ThresholdRule& rule = thresholds.rule_for(delta.key);
-    if (rule.ignore) continue;
     CheckResult::Row row;
     row.delta = delta;
-    row.severity = classify(delta, rule);
+    row.severity = classify(delta, thresholds.rule_for(delta.key));
     if (row.severity == Severity::kWarn) ++result.num_warn;
     if (row.severity == Severity::kFail) ++result.num_fail;
     result.rows.push_back(std::move(row));
   }
   for (const std::string& key : diff.only_in_a) {
-    if (thresholds.rule_for(key).ignore) continue;
     if (is_histogram_key(key)) {
       result.histograms_absent_in_b.push_back(key);
       ++result.num_warn;
@@ -528,7 +521,6 @@ CheckResult check_diff(const ReportDiff& diff, const Thresholds& thresholds) {
     }
   }
   for (const std::string& key : diff.only_in_b) {
-    if (thresholds.rule_for(key).ignore) continue;
     result.new_in_b.push_back(key);
     ++result.num_warn;
   }
@@ -613,7 +605,6 @@ std::string render_diff_markdown(const ReportDiff& diff, const Thresholds* thres
   out << "\n";
   for (const MetricDelta& d : diff.deltas) {
     const ThresholdRule* rule = thresholds != nullptr ? &thresholds->rule_for(d.key) : nullptr;
-    if (rule != nullptr && rule->ignore) continue;
     out << "| " << d.key << " | " << format_metric_value(d.before) << " | "
         << format_metric_value(d.after) << " | " << format_metric_value(d.abs_delta) << " | "
         << format_rel(d.rel_delta) << " |";
@@ -621,7 +612,6 @@ std::string render_diff_markdown(const ReportDiff& diff, const Thresholds* thres
     out << "\n";
   }
   for (const std::string& key : diff.only_in_a) {
-    if (thresholds != nullptr && thresholds->rule_for(key).ignore) continue;
     out << "| " << key << " | present | missing | | |";
     // Matches check_diff's verdict: absent histograms warn, everything else
     // that vanished fails.
@@ -629,7 +619,6 @@ std::string render_diff_markdown(const ReportDiff& diff, const Thresholds* thres
     out << "\n";
   }
   for (const std::string& key : diff.only_in_b) {
-    if (thresholds != nullptr && thresholds->rule_for(key).ignore) continue;
     out << "| " << key << " | missing | present | | |";
     if (thresholds != nullptr) out << " WARN |";
     out << "\n";

@@ -10,7 +10,8 @@
 //   histograms.<name>.p50 / .p95 / ...    interpolated percentile
 //                                         (estimate_percentile, metrics.hpp)
 //   spans.<name>.count                    span instances
-//   spans.<name>.total_us / .max_us       span timing (noisy; see Thresholds)
+//   spans.<name>.total_us                 span wall time (the one noisy key;
+//                                         see Thresholds)
 //   artifact_stats.<key>[.<subkey>...]    numeric artifact facts
 //   timeseries.samples / .stride          v2 telemetry block summary
 //   timeseries.<channel>.mean / .last     per-channel summary (never the raw
@@ -22,12 +23,13 @@
 //
 // Two reports are comparable only when their schema version, name, and
 // `config` object match — a delta between runs with different parameters is
-// meaningless and diff_reports() refuses to compute one.  Timing keys are
-// expected to move run to run; the Thresholds machinery (glob rules with
-// relative tolerances plus an absolute noise floor) is how callers separate
-// "CI noise" from "regression".  The `bflyreport` CLI (tools/) is the
-// command-line face of this header; the CI baseline gate is `bflyreport
-// check` against bench/baselines/.
+// meaningless and diff_reports() refuses to compute one.  Every key but span
+// wall time is exact for a given config, so the gate compares it for
+// equality; span wall time moves run to run, and the Thresholds machinery
+// (glob rules with relative tolerances plus an absolute noise floor) is how
+// callers separate "CI noise" from "regression" there.  The `bflyreport` CLI
+// (tools/) is the command-line face of this header; the CI baseline gate is
+// `bflyreport check` against bench/baselines/.
 #pragma once
 
 #include <iosfwd>
@@ -150,18 +152,16 @@ struct ThresholdRule {
   /// Absolute noise floor: deltas at most this large always pass (timing keys
   /// in the low microseconds jitter by large relative factors).
   double abs_tol = 0.0;
-  /// Skip matching keys entirely (machine-dependent values).
-  bool ignore = false;
 };
 
 /// Ordered rule list; the first matching rule wins, `fallback` applies when
-/// none match.  File format (JSON):
+/// none match.  A rule has no way to skip a key: every key a report carries
+/// is classified.  File format (JSON; a rule key other than match, warn_rel,
+/// fail_rel and abs_tol is rejected):
 ///
 ///   { "default": { "warn_rel": 0, "fail_rel": 0, "abs_tol": 0 },
 ///     "rules": [ { "match": "spans.*.total_us", "warn_rel": 0.25,
-///                  "fail_rel": 3.0, "abs_tol": 20000 },
-///                { "match": "artifact_stats.serve_storm.*",
-///                  "ignore": true } ] }
+///                  "fail_rel": 3.0, "abs_tol": 20000 } ] }
 struct Thresholds {
   ThresholdRule fallback;
   std::vector<ThresholdRule> rules;
@@ -180,7 +180,6 @@ Severity classify(const MetricDelta& delta, const ThresholdRule& rule);
 /// A classified diff: every delta paired with its severity, plus missing-key
 /// verdicts (a key that disappeared from the candidate fails — a measured
 /// artifact vanished; a new key warns — the baseline needs a refresh).
-/// Ignored keys are dropped.
 ///
 /// Histogram keys are the exception to the missing-is-FAIL rule: a histogram
 /// present in the baseline but absent from the candidate lands in
@@ -195,9 +194,9 @@ struct CheckResult {
     Severity severity = Severity::kPass;
   };
   std::vector<Row> rows;
-  std::vector<std::string> missing_in_b;  ///< fail unless ignored
-  std::vector<std::string> new_in_b;      ///< warn unless ignored
-  /// histograms.* keys present only in the baseline: warn unless ignored.
+  std::vector<std::string> missing_in_b;  ///< fail
+  std::vector<std::string> new_in_b;      ///< warn
+  /// histograms.* keys present only in the baseline: warn.
   std::vector<std::string> histograms_absent_in_b;
   int num_warn = 0;
   int num_fail = 0;
@@ -217,8 +216,7 @@ CheckResult degrade_failures_to_warnings(CheckResult result);
 // --- rendering ---------------------------------------------------------------
 
 /// Markdown/ASCII delta table (one row per metric, sections in key order).
-/// With `thresholds`, a status column (ok / WARN / FAIL) is appended and
-/// ignored keys are omitted.
+/// With `thresholds`, a status column (ok / WARN / FAIL) is appended.
 std::string render_diff_markdown(const ReportDiff& diff, const Thresholds* thresholds = nullptr);
 
 /// Compact fixed-width number formatting shared by the renderers ("1.25M"

@@ -1,6 +1,5 @@
 #include "obs/report.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -63,14 +62,12 @@ json::Value build_run_report(const Registry& registry, const ReportOptions& opti
   struct SpanAgg {
     u64 count = 0;
     double total_us = 0.0;
-    double max_us = 0.0;
   };
   std::map<std::string, SpanAgg> by_name;
   for (const CompletedSpan& s : registry.completed_spans()) {
     SpanAgg& agg = by_name[s.name];
     ++agg.count;
     agg.total_us += s.dur_us;
-    agg.max_us = std::max(agg.max_us, s.dur_us);
   }
   json::Value spans = json::Value::array();
   for (const auto& [name, agg] : by_name) {
@@ -78,7 +75,6 @@ json::Value build_run_report(const Registry& registry, const ReportOptions& opti
     span.set("name", json::Value::string(name));
     span.set("count", json::Value::number(agg.count));
     span.set("total_us", json::Value::number(agg.total_us));
-    span.set("max_us", json::Value::number(agg.max_us));
     spans.push_back(std::move(span));
   }
 

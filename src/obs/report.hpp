@@ -18,7 +18,7 @@
 //       "histograms": { "<name>": { "bounds": [...], "counts": [...],
 //                                    "count": <u64>, "sum": <double> }, ... }
 //     },
-//     "spans":        [ { "name", "count", "total_us", "max_us" }, ... ],
+//     "spans":        [ { "name", "count", "total_us" }, ... ],
 //     "artifact_stats": { ... caller-provided measured artifact facts ... },
 //     "timeseries":   { ... optional cycle-resolved telemetry block ... },
 //     "flight":       { ... optional per-packet flight-recorder block ... }
@@ -36,6 +36,8 @@
 // Spans are aggregated per name (sorted by name) so a report stays one
 // comparable line even when a bench loop executes a phase 10^5 times; the
 // per-instance stream with nesting is the Chrome trace export (obs/trace.hpp).
+// Reports written before the count-and-total form also carry a per-span
+// "max_us"; readers accept and ignore it.
 //
 // Histogram invariant: counts has bounds.size() + 1 entries (trailing
 // overflow bucket) and sums to count — consumers can reconstruct totals

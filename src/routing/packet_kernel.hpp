@@ -14,7 +14,7 @@
 //     advances it at every cycle boundary).  FaultSet and LiveFaultState are
 //     only named where bfly_fault instantiates the kernel.
 //   * kSharded — false runs one shard over the whole fabric with no
-//     hand-off rings, no drain phase and no per-hop "leaves the shard" test;
+//     hand-off vectors, no drain phase and no per-hop "leaves the shard" test;
 //     that is the serial engines.  true runs shard_count row blocks in two
 //     fork-join phases per cycle (sharded_sim.hpp describes the geometry);
 //     that is simulate_saturation_sharded.  Both give the same bits.
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <algorithm>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -54,7 +53,6 @@
 #include "routing/telemetry_probe.hpp"
 #include "util/parallel.hpp"
 #include "util/prng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace bfly::detail {
 
@@ -141,7 +139,7 @@ inline void add_tally(FaultTally& into, const FaultTally& t) {
 
 /// Span and counter names of one census entry point.
 struct CensusNames {
-  const char* worker_span;
+  const char* chunk_span;  ///< one span per fixed-size packet chunk
   const char* merge_span;
   const char* packets_counter;
 };
@@ -151,8 +149,10 @@ struct CensusNames {
 /// with its own generator seeded by (seed, chunk index); threads claim
 /// contiguous chunk ranges, and the per-link sums and per-range max/total
 /// partials merge in range order (u64 arithmetic), so the census and
-/// `*tally` are bitwise identical for every thread count.  A non-null
-/// `cancel` is polled once per chunk; a tripped census is partial.
+/// `*tally` are bitwise identical for every thread count.  Each chunk is one
+/// `names.chunk_span`, so the span count is the chunk count, whatever the
+/// thread count.  A non-null `cancel` is polled once per chunk; a tripped
+/// census is partial.
 template <typename Liveness>
 LoadCensus census_link_loads(int n, u64 packets, u64 seed, const Liveness& faults,
                              const FaultRoutingOptions& options, std::size_t threads,
@@ -171,12 +171,12 @@ LoadCensus census_link_loads(int n, u64 packets, u64 seed, const Liveness& fault
   std::vector<FaultTally> partial_tally(threads);
   parallel_for_chunked(
       0, num_chunks, threads, [&](std::size_t lo, std::size_t hi, std::size_t tid) {
-        BFLY_TRACE_SCOPE(names.worker_span);
         std::vector<u64>& loads = partial[tid];
         FaultTally t;  // a local, so the link-load stores cannot alias it
         u64 routed = 0;
         for (std::size_t chunk = lo; chunk < hi; ++chunk) {
           if (CancelToken::cancelled(cancel)) break;
+          BFLY_TRACE_SCOPE(names.chunk_span);
           Xoshiro256 rng(seed ^ (kStreamSeedMix * (chunk + 1)));
           const u64 begin = static_cast<u64>(chunk) * kChunkPackets;
           const u64 end = std::min(packets, begin + kChunkPackets);
@@ -320,11 +320,20 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   /// A private arena over the shard's local link range.  Shard k owns rows
   /// [k * block, (k + 1) * block).
   struct Shard {
-    Shard(u64 links, bool with_budgets, bool with_flight, int num_cross, std::size_t slots)
+    Shard(u64 links, bool with_budgets, bool with_flight, int num_cross, std::size_t block,
+          std::size_t slots)
         : arena(links, with_budgets, with_flight, slots),
-          parked(static_cast<std::size_t>(num_cross)) {}
+          crossing(static_cast<std::size_t>(num_cross)),
+          parked(static_cast<std::size_t>(num_cross)) {
+      // A shard has `block` cross links per stage and each forwards at most
+      // its front packet per cycle, so `block` hops never reallocate.
+      for (std::vector<Hop>& out : crossing) out.reserve(block);
+    }
     PacketArena arena;
     std::vector<std::pair<u64, Packet>> wrapped;  ///< (row, packet) awaiting re-entry
+    /// Cross hops leaving the shard, per crossing stage, in row order.  Phase
+    /// A fills them; the partner shard drains and clears them in phase B.
+    std::vector<std::vector<Hop>> crossing;
     /// Straight hops held for phase B, per crossing stage, in row order.
     std::vector<std::vector<Hop>> parked;
     Ledger ledger;
@@ -336,22 +345,8 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   const std::size_t initial_slots = std::max<std::size_t>(4096 / num_shards, 64);
   for (u64 k = 0; k < num_shards; ++k) {
     shards.emplace_back(local_links, !kAllAlive<Liveness>, fprobe.enabled(), num_cross,
-                        initial_slots);
+                        static_cast<std::size_t>(block), initial_slots);
   }
-
-  // One SPSC ring per (source shard, crossing stage), filled in row order.
-  // A shard has `block` cross links per stage and each forwards at most its
-  // front packet per cycle, so `block` slots never overflow; phase B empties
-  // every ring before the next phase A refills it.
-  std::vector<std::unique_ptr<util::SpscRing<Hop>>> rings;  // the atomics pin each ring
-  if constexpr (kSharded) {
-    for (u64 k = 0; k < num_shards * static_cast<u64>(num_cross); ++k) {
-      rings.push_back(std::make_unique<util::SpscRing<Hop>>(static_cast<std::size_t>(block)));
-    }
-  }
-  const auto ring_of = [&](u64 src_shard, int stage) -> util::SpscRing<Hop>& {
-    return *rings[src_shard * static_cast<u64>(num_cross) + static_cast<u64>(stage - log2block)];
-  };
 
   u64 cycle = 0;
   bool measured = false;
@@ -434,13 +429,13 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
 
   // Phase A: advance every stage of one shard (descending, so a packet moves
   // at most one hop per cycle), then re-enter the sweep's wraps at stage 0.
-  // At a stage s >= log2block, shard k pushes its cross hops into the ring
-  // read by the partner shard k ^ 2^(s - log2block).  If row bit s is set in
-  // k's rows, the cross arrival from row ^ 2^s has the lower upstream link
-  // id, so k also parks its straight hops there for phase B.  `led` is a
-  // local of the caller (the serial loop keeps it for the whole run, a
-  // sharded phase for one shard-cycle), never the Shard's field, so it stays
-  // in registers through the sweep.
+  // At a stage s >= log2block, shard k appends its cross hops to its
+  // `crossing` vector, which the partner shard k ^ 2^(s - log2block) reads in
+  // phase B.  If row bit s is set in k's rows, the cross arrival from
+  // row ^ 2^s has the lower upstream link id, so k also parks its straight
+  // hops there for phase B.  `led` is a local of the caller (the serial loop
+  // keeps it for the whole run, a sharded phase for one shard-cycle), never
+  // the Shard's field, so it stays in registers through the sweep.
   //
   // The cycle-body lambdas are forced inline: left out of line, a closure
   // escapes, and every captured scalar and ledger field then lives in
@@ -462,12 +457,8 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
             const Packet pkt = arena.pop(link);
             --led.in_flight;
             const Hop hop{next_row, pkt.dst, pkt.injected_at, pkt.misroutes, pkt.wraps};
-            if (cross) {
-              const bool pushed = ring_of(k, s).try_push(hop);
-              BFLY_CHECK(pushed, "sharded hand-off ring overflow");
-            } else {
-              sh.parked[static_cast<std::size_t>(s - log2block)].push_back(hop);
-            }
+            std::vector<std::vector<Hop>>& lanes = cross ? sh.crossing : sh.parked;
+            lanes[static_cast<std::size_t>(s - log2block)].push_back(hop);
             return;
           }
         }
@@ -530,11 +521,13 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
   };
 
   // Phase B (sharded only): for each crossing stage in ascending order, drain
-  // the partner's ring merged with shard k's parked hops by row, the cross
-  // hop first at a shared row, then inject.  Every producer finished in
-  // phase A, so the drain sees the cycle's complete hand-offs.  A hop counts
-  // in flight until it is enqueued at stage s + 1 or meets its terminal
-  // decision; a wrap decided here re-enters at once.
+  // the partner's crossing hops merged with shard k's parked hops by row, the
+  // cross hop first at a shared row, then inject.  The fork-join between the
+  // phases orders every phase A write before this read, so plain vectors
+  // suffice: each is written by one shard in phase A and read and cleared by
+  // one partner in phase B.  A hop counts in flight until it is enqueued at
+  // stage s + 1 or meets its terminal decision; a wrap decided here
+  // re-enters at once.
   const auto phase_b = [&](Shard& sh, u64 k) {
     const u64 row0 = k * block;
     Ledger led = sh.ledger;
@@ -548,15 +541,16 @@ KernelRun run_packet_kernel(int n, double offered_load, u64 cycles, u64 seed,
       }
     };
     for (int s = log2block; s < n; ++s) {
-      util::SpscRing<Hop>& ring = ring_of(k ^ (u64{1} << (s - log2block)), s);
-      std::vector<Hop>& parked = sh.parked[static_cast<std::size_t>(s - log2block)];
-      Hop hop;
-      bool have = ring.try_pop(&hop);
+      const auto lane = static_cast<std::size_t>(s - log2block);
+      std::vector<Hop>& inbound = shards[k ^ (u64{1} << lane)].crossing[lane];
+      std::vector<Hop>& parked = sh.parked[lane];
+      auto in = inbound.begin();
       for (const Hop& held : parked) {
-        for (; have && hop.row <= held.row; have = ring.try_pop(&hop)) take(hop, s);
+        for (; in != inbound.end() && in->row <= held.row; ++in) take(*in, s);
         take(held, s);
       }
-      for (; have; have = ring.try_pop(&hop)) take(hop, s);
+      for (; in != inbound.end(); ++in) take(*in, s);
+      inbound.clear();
       parked.clear();
     }
     inject(sh, led, k);

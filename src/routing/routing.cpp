@@ -36,7 +36,7 @@ LoadCensus measure_link_loads(int n, u64 packets, u64 seed, std::size_t threads,
   FaultTally tally;
   const LoadCensus census = detail::census_link_loads(
       n, packets, seed, detail::AllAlive{}, FaultRoutingOptions{}, threads, keep_link_loads,
-      cancel, {"routing.census.worker", "routing.census.merge", "routing.census.packets"},
+      cancel, {"routing.census.chunk", "routing.census.merge", "routing.census.packets"},
       &tally);
   obs::set(obs::get_gauge("routing.census.max_link_load"),
            static_cast<double>(census.max_link_load));

@@ -12,9 +12,9 @@
 // [k*block, (k+1)*block).  The stage-s cross link flips row bit s, so a
 // packet leaves its shard only when 2^s >= block — the low log2(block)
 // stages are entirely shard-local, and exactly log2(shard_count) stages
-// cross.  Cross hops travel through preallocated SPSC hand-off rings
-// (util/spsc_ring.hpp), one per (source shard, crossing stage), drained
-// after a barrier by the receiving shard — which also makes the arrival's
+// cross.  Cross hops travel through a plain std::vector per (source shard,
+// crossing stage), reserved to `block` hops, drained after the fork-join
+// barrier by the receiving shard — which also makes the arrival's
 // routing decision (next output link, or the terminal deliver/wrap/drop
 // call), since that decision needs the destination row's queue and liveness
 // state.

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "util/parallel.hpp"
 
@@ -9,10 +8,9 @@ namespace bfly {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
-  slots_ = std::make_unique<WorkerSlot[]>(threads);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -25,8 +23,7 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(std::size_t worker) {
-  WorkerSlot& slot = slots_[worker];
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -36,19 +33,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Counted before the task runs: the task's own epilogue is what lets its
-    // run_chunked caller return, so a count taken afterwards could still be
-    // missing when that caller reads stats().  Relaxed: each worker touches
-    // only its own slot, and the region's mutex orders this add before the
-    // caller's return.
-    slot.tasks.fetch_add(1, std::memory_order_relaxed);
-    const auto t0 = std::chrono::steady_clock::now();
     task();
-    const auto t1 = std::chrono::steady_clock::now();
-    slot.busy_us.fetch_add(
-        static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count()),
-        std::memory_order_relaxed);
   }
 }
 
@@ -60,24 +45,8 @@ bool ThreadPool::try_run_one() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
-  assists_.fetch_add(1, std::memory_order_relaxed);  // before the task, as in worker_loop
   task();
   return true;
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats stats;
-  stats.assists = assists_.load(std::memory_order_relaxed);
-  stats.tasks_executed = stats.assists;
-  stats.worker_tasks.reserve(workers_.size());
-  stats.worker_busy_us.reserve(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    const u64 tasks = slots_[i].tasks.load(std::memory_order_relaxed);
-    stats.worker_tasks.push_back(tasks);
-    stats.worker_busy_us.push_back(slots_[i].busy_us.load(std::memory_order_relaxed));
-    stats.tasks_executed += tasks;
-  }
-  return stats;
 }
 
 void ThreadPool::run_chunked(

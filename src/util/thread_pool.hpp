@@ -25,13 +25,11 @@
 // for every pool size.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,24 +50,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-
-  /// Utilization counters, cheap enough to stay always-on: workers count
-  /// their own tasks and busy time into per-worker cache-line-padded slots
-  /// (relaxed atomics — no cross-worker contention), and callers that pull a
-  /// task inline during help-while-wait count as assists.  A snapshot taken
-  /// while regions are in flight is a consistent lower bound, not a barrier.
-  ///
-  /// Task and assist counts are taken when a task is dequeued, before it
-  /// runs, so a snapshot read after run_chunked returns includes every one
-  /// of its ranges.  busy_us is added when a task finishes, so it may lag by
-  /// the task a worker is still running.
-  struct Stats {
-    u64 tasks_executed = 0;  ///< tasks run anywhere: worker loops + assists
-    u64 assists = 0;         ///< tasks a waiting submitter ran inline
-    std::vector<u64> worker_tasks;    ///< per-worker task counts
-    std::vector<u64> worker_busy_us;  ///< per-worker time spent inside tasks
-  };
-  Stats stats() const;
 
   /// Statically partitions [begin, end) into at most `max_chunks` contiguous
   /// ranges (ceil-divided, same arithmetic as the historical
@@ -94,23 +74,14 @@ class ThreadPool {
   static ThreadPool& shared();
 
  private:
-  void worker_loop(std::size_t worker);
+  void worker_loop();
   /// Pops and runs one queued task; false when the queue was empty.
   bool try_run_one();
-
-  /// One per worker, padded so two workers bumping their own counters never
-  /// share a cache line.
-  struct alignas(64) WorkerSlot {
-    std::atomic<u64> tasks{0};
-    std::atomic<u64> busy_us{0};
-  };
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  std::unique_ptr<WorkerSlot[]> slots_;
-  std::atomic<u64> assists_{0};
   std::vector<std::thread> workers_;
 };
 

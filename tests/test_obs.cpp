@@ -7,6 +7,8 @@
 #include <sstream>
 #include <string>
 
+#include "fault/fault_routing.hpp"
+#include "fault/fault_set.hpp"
 #include "layout/butterfly_layout.hpp"
 #include "layout/collinear.hpp"
 #include "layout/legality.hpp"
@@ -275,9 +277,10 @@ TEST(Report, SchemaAndHistogramTotalsRoundTrip) {
   bool saw_sim = false;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const json::Value& row = spans.at(i);
-    for (const char* key : {"name", "count", "total_us", "max_us"}) {
+    for (const char* key : {"name", "count", "total_us"}) {
       ASSERT_TRUE(row.contains(key)) << key;
     }
+    EXPECT_EQ(row.size(), 3u) << row.dump();  // no per-instance maximum
     if (row.at("name").as_string() == "routing.simulate_saturation") {
       EXPECT_EQ(row.at("count").as_u64(), 1u);
       saw_sim = true;
@@ -290,6 +293,27 @@ TEST(Report, SchemaAndHistogramTotalsRoundTrip) {
   obs::write_report_pretty(pretty, reg, options);
   const json::Value doc2 = json::Value::parse(pretty.str());
   EXPECT_EQ(doc2.at("metrics").dump(), doc.at("metrics").dump());
+}
+
+TEST(Report, CensusChunkSpansCountChunksForEveryThreadCount) {
+  // One span per fixed 2^16-packet chunk, so the count is a pure function of
+  // the packet count: exact in the baseline gate on any core count.
+  for (const u64 packets : {u64{1}, u64{65'536}, u64{65'537}, u64{300'000}}) {
+    const u64 chunks = (packets + 65'535) / 65'536;
+    for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+      obs::Registry reg;
+      {
+        const obs::ScopedRegistry scoped(&reg);
+        measure_link_loads(6, packets, 7, threads);
+        measure_link_loads_faulty(6, packets, 7, FaultSet::random_links(6, 0.05, 3), {},
+                                  threads);
+      }
+      std::map<std::string, u64> count;
+      for (const obs::CompletedSpan& span : reg.completed_spans()) ++count[span.name];
+      EXPECT_EQ(count["routing.census.chunk"], chunks) << packets << " " << threads;
+      EXPECT_EQ(count["fault.census.chunk"], chunks) << packets << " " << threads;
+    }
+  }
 }
 
 TEST(Report, RunIdsAreUnique) {

@@ -16,6 +16,7 @@
 #include "obs/diff.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace bfly::obs {
@@ -74,6 +75,29 @@ TEST(RunReportTest, ParsesRealReportWriterOutput) {
   EXPECT_EQ(metric_value(r, "counters.work.items"), 42.0);
   EXPECT_EQ(metric_value(r, "histograms.work.size.count"), 2.0);
   EXPECT_EQ(metric_value(r, "artifact_stats.area"), 7.0);
+}
+
+TEST(RunReportTest, FreshSpansHaveNoMaxUsAndOldReportsStillParse) {
+  // A fresh report's span rows are name, count and total_us only.
+  Registry registry;
+  {
+    const ScopedRegistry scoped(&registry);
+    BFLY_TRACE_SCOPE("work.phase");
+  }
+  std::ostringstream line;
+  write_report_line(line, registry, ReportOptions{});
+  const RunReport fresh = RunReport::parse(line.str());
+  const json::Value& spans = fresh.doc.at("spans");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_FALSE(spans.at(0).contains("max_us"));
+  EXPECT_EQ(metric_value(fresh, "spans.work.phase.count"), 1.0);
+
+  // A trajectory line written before carries "max_us": it parses, and the
+  // key is never flattened.
+  const RunReport old = make_report(100, 0.5, 12.5);
+  EXPECT_TRUE(old.doc.at("spans").at(0).contains("max_us"));
+  EXPECT_EQ(metric_value(old, "spans.phase.total_us"), 12.5);
+  EXPECT_THROW(metric_value(old, "spans.phase.max_us"), InvalidArgument);
 }
 
 TEST(RunReportTest, RejectsWrongSchemaVersion) {
@@ -435,13 +459,21 @@ TEST(ThresholdsTest, FirstMatchingRuleWinsWithFallback) {
   Thresholds t = Thresholds::parse(json::Value::parse(R"({
     "default": {"warn_rel": 0, "fail_rel": 0},
     "rules": [
-      {"match": "spans.special.*", "ignore": true},
+      {"match": "spans.special.*", "warn_rel": 0.5, "fail_rel": 0.5},
       {"match": "spans.*", "warn_rel": 0.25, "fail_rel": 3.0}
     ]})"));
-  EXPECT_TRUE(t.rule_for("spans.special.total_us").ignore);
-  EXPECT_FALSE(t.rule_for("spans.other.total_us").ignore);
+  EXPECT_EQ(t.rule_for("spans.special.total_us").warn_rel, 0.5);
   EXPECT_EQ(t.rule_for("spans.other.total_us").warn_rel, 0.25);
   EXPECT_EQ(t.rule_for("counters.x").warn_rel, 0.0);
+}
+
+TEST(ThresholdsTest, RejectsAnIgnoreKey) {
+  // No rule can hide a key: "ignore" is an unknown rule key like any other.
+  EXPECT_THROW(Thresholds::parse(json::Value::parse(
+                   R"({"rules": [{"match": "timeseries.*", "ignore": true}]})")),
+               InvalidArgument);
+  EXPECT_THROW(Thresholds::parse(json::Value::parse(R"({"default": {"ignore": false}})")),
+               InvalidArgument);
 }
 
 TEST(ThresholdsTest, RejectsUnknownRuleKeysAndInvertedBounds) {
@@ -515,13 +547,15 @@ TEST(CheckDiffTest, CountsSeveritiesAndMissingKeys) {
   EXPECT_EQ(strict.new_in_b[0], "artifact_stats.area2");
   EXPECT_EQ(strict.num_warn, 1);
 
-  Thresholds loose = Thresholds::parse(json::Value::parse(
-      R"({"default": {"warn_rel": 0.25, "fail_rel": 1.0},
-          "rules": [{"match": "artifact_stats.area*", "ignore": true}]})"));
+  // A tolerance excuses the counter's move, but no rule excuses a vanished
+  // key.
+  Thresholds loose = Thresholds::parse(
+      json::Value::parse(R"({"default": {"warn_rel": 0.25, "fail_rel": 1.0}})"));
   const CheckResult relaxed = check_diff(diff, loose);
-  EXPECT_TRUE(relaxed.ok());
-  EXPECT_EQ(relaxed.num_fail, 0);
-  EXPECT_TRUE(relaxed.missing_in_b.empty());  // ignored keys drop out entirely
+  EXPECT_FALSE(relaxed.ok());
+  EXPECT_EQ(relaxed.num_fail, 1);
+  ASSERT_EQ(relaxed.missing_in_b.size(), 1u);
+  EXPECT_EQ(relaxed.missing_in_b[0], "artifact_stats.area");
 }
 
 TEST(CheckDiffTest, AbsentHistogramWarnsInsteadOfFailing) {
@@ -554,11 +588,6 @@ TEST(CheckDiffTest, AbsentHistogramWarnsInsteadOfFailing) {
   const CheckResult degraded = degrade_failures_to_warnings(check_diff(diff, exact));
   EXPECT_EQ(degraded.num_fail, 0);
   EXPECT_EQ(degraded.num_warn, 4);
-
-  // An ignore rule still drops them entirely.
-  const Thresholds ignoring = Thresholds::parse(json::Value::parse(
-      R"({"rules": [{"match": "histograms.*", "ignore": true}]})"));
-  EXPECT_TRUE(check_diff(diff, ignoring).histograms_absent_in_b.empty());
 }
 
 // --- rendering ---------------------------------------------------------------

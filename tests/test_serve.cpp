@@ -664,11 +664,14 @@ TEST(ServeServer, OwnerPastItsOwnDeadlineAnswersExpiredWhileJoinersGetTheResult)
 
 TEST(ServeServer, BoundedQueueShedsDeterministically) {
   // queue_depth 2, one dispatcher pinned by a long compute: the burst beyond
-  // the queue must shed with overloaded + a retry_after_ms hint.
+  // the queue must shed with overloaded + a retry_after_ms hint.  The pin's
+  // deadline ends it (deadline_exceeded) long before its 2M cycles would,
+  // so the two admitted census frames behind it answer soon after.
   Server server(small_server(1, 2));
   ResponseBin bin;
   server.submit_frame(
-      R"({"op":"sweep","id":"pin","n":6,"offered_load":0.9,"cycles":2000000,"seed":1})",
+      R"({"op":"sweep","id":"pin","n":6,"offered_load":0.9,"cycles":2000000,"seed":1,)"
+      R"("deadline_ms":3000})",
       bin.callback());
   // Let the dispatcher pop the pin so the queue itself is empty.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

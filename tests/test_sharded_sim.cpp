@@ -6,18 +6,16 @@
 // serial engines for every shard count and thread count — and every offered
 // packet is exactly accounted for (delivered + dropped + in flight ==
 // offered) over the whole run, warmup included.  On top of that sit the
-// SPSC hand-off ring's FIFO semantics, the PacketArena against a deque model
+// PacketArena against a deque model
 // and its index-width hardening, the kernel's cycle bound, the sweep
 // integration (dispatch, serial fallback, checkpoint identity), and the
 // kill/resume bit-identity of a checkpointed sharded grid.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <deque>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,106 +31,9 @@
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
 #include "util/prng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace bfly {
 namespace {
-
-// ---------------------------------------------------------------------------
-// util::SpscRing
-
-TEST(SpscRing, RequiresPowerOfTwoCapacity) {
-  EXPECT_THROW(util::SpscRing<int>(0), InvalidArgument);
-  EXPECT_THROW(util::SpscRing<int>(3), InvalidArgument);
-  EXPECT_THROW(util::SpscRing<int>(12), InvalidArgument);
-  EXPECT_NO_THROW(util::SpscRing<int>(1));
-  EXPECT_NO_THROW(util::SpscRing<int>(64));
-}
-
-TEST(SpscRing, FifoOrderAndFullEmpty) {
-  util::SpscRing<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  int out = 0;
-  EXPECT_FALSE(ring.try_pop(&out));  // empty pops fail
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full pushes fail, slot 0 not clobbered
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(&out));
-    EXPECT_EQ(out, i);  // strict FIFO
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(&out));
-}
-
-TEST(SpscRing, WrapAroundPreservesOrder) {
-  // Push/pop far past the capacity so head/tail wrap the index mask many
-  // times; order and values must survive every wrap.
-  util::SpscRing<int> ring(8);
-  int expect = 0;
-  int next = 0;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push(next++));
-    for (int i = 0; i < 5; ++i) {
-      int out = -1;
-      ASSERT_TRUE(ring.try_pop(&out));
-      EXPECT_EQ(out, expect++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, ReuseAcrossCyclesLikeTheEngineDoes) {
-  // The engine's pattern: fill during phase A, drain completely during phase
-  // B, repeat.  The ring must come back empty-and-usable every cycle.
-  util::SpscRing<u64> ring(16);
-  for (u64 cycle = 0; cycle < 50; ++cycle) {
-    const u64 n = cycle % 17;  // varying fill, including 0 and capacity
-    for (u64 i = 0; i < std::min<u64>(n, 16); ++i) {
-      ASSERT_TRUE(ring.try_push(cycle * 100 + i));
-    }
-    u64 out = 0;
-    u64 drained = 0;
-    while (ring.try_pop(&out)) {
-      EXPECT_EQ(out, cycle * 100 + drained);
-      ++drained;
-    }
-    EXPECT_EQ(drained, std::min<u64>(n, 16));
-    EXPECT_TRUE(ring.empty());
-  }
-}
-
-TEST(SpscRing, TwoThreadStressKeepsSequence) {
-  // One producer, one consumer, tight capacity so both sides hit the
-  // full/empty edges constantly.  Under TSan this is the data-race probe for
-  // the acquire/release protocol; everywhere it checks the sequence exactly.
-  // Yield on the full/empty edges: on a single-core runner a busy spin
-  // ping-pongs against the OS scheduler for minutes; with yields the test is
-  // milliseconds everywhere and TSan still sees every edge.
-  util::SpscRing<u64> ring(4);
-  constexpr u64 kCount = 20'000;
-  std::atomic<bool> failed{false};
-  std::thread consumer([&] {
-    u64 expect = 0;
-    while (expect < kCount) {
-      u64 out = 0;
-      if (ring.try_pop(&out)) {
-        if (out != expect) {
-          failed.store(true);
-          return;
-        }
-        ++expect;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (u64 i = 0; i < kCount; ++i) {
-    while (!ring.try_push(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_FALSE(failed.load());
-  EXPECT_TRUE(ring.empty());
-}
 
 // ---------------------------------------------------------------------------
 // PacketArena index-width hardening

@@ -197,79 +197,18 @@ TEST(ThreadPool, DeadlineExpiryCancelsToken) {
   EXPECT_FALSE(token.cancelled());
 }
 
-TEST(ThreadPool, StatsCountEveryExecutedTask) {
-  // Utilization accounting: every range body lands in either a worker slot
-  // or the caller-assist counter, and the total is exact — run_chunked does
-  // not return before all its ranges complete, so nothing is in flight when
-  // stats() is read.
-  ThreadPool pool(3);
-  const ThreadPool::Stats before = pool.stats();
-  EXPECT_EQ(before.tasks_executed, 0u);
-  EXPECT_EQ(before.assists, 0u);
-  ASSERT_EQ(before.worker_tasks.size(), 3u);
-  ASSERT_EQ(before.worker_busy_us.size(), 3u);
-
-  for (std::size_t round = 0; round < 10; ++round) {
-    EXPECT_EQ(chunked_square_sum(pool, 2000, 8), serial_square_sum(2000));
-  }
-  const ThreadPool::Stats after = pool.stats();
-  EXPECT_EQ(after.tasks_executed, 80u);  // 10 rounds x 8 ranges, none lost
-  u64 from_slots = after.assists;
-  for (const u64 t : after.worker_tasks) from_slots += t;
-  EXPECT_EQ(from_slots, after.tasks_executed);
-}
-
-TEST(ThreadPool, StatsAreMonotone) {
-  ThreadPool pool(2);
-  chunked_square_sum(pool, 500, 4);
-  const ThreadPool::Stats a = pool.stats();
-  chunked_square_sum(pool, 500, 4);
-  const ThreadPool::Stats b = pool.stats();
-  EXPECT_EQ(b.tasks_executed, a.tasks_executed + 4);
-  EXPECT_GE(b.assists, a.assists);
-  for (std::size_t w = 0; w < 2; ++w) {
-    EXPECT_GE(b.worker_tasks[w], a.worker_tasks[w]);
-    EXPECT_GE(b.worker_busy_us[w], a.worker_busy_us[w]);
-  }
-}
-
 TEST(ThreadPool, AssistsAreVisibleWhenTheCallerHelps) {
   // Two ranges that each spin until both have started: a single-worker pool
-  // can only satisfy that with the caller helping (help-while-wait), so
-  // exactly one range runs on the worker and one as a caller assist.
+  // can only satisfy that with the caller helping (help-while-wait), so the
+  // region completes only if one range runs on the worker and the other on
+  // the caller.
   ThreadPool pool(1);
   std::atomic<int> started{0};
   pool.run_chunked(0, 2, 2, [&](std::size_t, std::size_t, std::size_t) {
     started.fetch_add(1);
     while (started.load() < 2) std::this_thread::yield();
   });
-  const ThreadPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.tasks_executed, 2u);
-  EXPECT_EQ(stats.assists, 1u);
-  EXPECT_EQ(stats.worker_tasks[0], 1u);
-  EXPECT_GT(stats.worker_busy_us.size(), 0u);
-}
-
-TEST(ThreadPool, CountsReadAfterRunChunkedIncludeEveryRange) {
-  // The stats() contract under reuse: the two-range scenario above, repeated
-  // on one pool.  The range that resolves the region may be the worker's, so
-  // its task must be counted by the time run_chunked returns.
-  ThreadPool pool(1);
-  constexpr u64 kRounds = 20'000;
-  u64 short_rounds = 0;
-  for (u64 round = 1; round <= kRounds; ++round) {
-    std::atomic<int> started{0};
-    pool.run_chunked(0, 2, 2, [&](std::size_t, std::size_t, std::size_t) {
-      started.fetch_add(1);
-      while (started.load() < 2) std::this_thread::yield();
-    });
-    const ThreadPool::Stats stats = pool.stats();
-    if (stats.tasks_executed != 2 * round || stats.assists != round ||
-        stats.worker_tasks[0] != round) {
-      ++short_rounds;
-    }
-  }
-  EXPECT_EQ(short_rounds, 0u);
+  EXPECT_EQ(started.load(), 2);
 }
 
 TEST(ThreadPool, ParallelForChunkedForwardsToken) {
